@@ -14,6 +14,7 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <pthread.h>
+#include <sched.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -55,7 +56,9 @@ double Samples::Quantile(double q) const {
 
 Samples::Tail Samples::SupportedTail() const {
   const double n = static_cast<double>(values_.size());
-  if (n * (1.0 - 0.9) >= 10.0) return Tail{0.9, Quantile(0.9)};
+  for (double q : {0.99, 0.9}) {
+    if (n * (1.0 - q) >= 10.0) return Tail{q, Quantile(q)};
+  }
   return Tail{1.0, Quantile(1.0)};
 }
 
@@ -104,6 +107,26 @@ double ThreadCpuSeconds(std::thread& thread) {
   clockid_t clock{};
   if (pthread_getcpuclockid(thread.native_handle(), &clock) != 0) return 0;
   return ClockSeconds(clock);
+}
+
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+    }
+  }
+  return cpus;
+}
+
+void PinThread(pthread_t thread, const std::vector<int>& cpus) {
+  if (cpus.empty()) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int cpu : cpus) CPU_SET(cpu, &set);
+  (void)pthread_setaffinity_np(thread, sizeof(set), &set);
 }
 
 std::uint64_t Fnv1a(std::string_view bytes) {
@@ -331,7 +354,7 @@ std::size_t RequestStream::Next() {
   std::uniform_real_distribution<double> unit{0.0, 1.0};
   double u = unit(rng_);
   if (!points_only_) {
-    // The slow kinds stay well below 10%, so p90 is a point lookup's.
+    // The slow kinds stay below 1%, so p99 is a point lookup's.
     if (u < 0.0025 && !catalog_.prefixes.empty()) {
       return catalog_.prefixes[rng_() % catalog_.prefixes.size()];
     }
@@ -441,6 +464,10 @@ Daemon::Daemon(serve::Server& server) {
 }
 
 Daemon::~Daemon() { Stop(); }
+
+void Daemon::PinAcceptor(const std::vector<int>& cpus) {
+  if (thread_.joinable()) PinThread(thread_.native_handle(), cpus);
+}
 
 void Daemon::Stop() {
   stop_.store(true);

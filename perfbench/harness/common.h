@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include <pthread.h>
+
 #include "activity/store.h"
 #include "obs/timer.h"
 #include "serve/server.h"
@@ -73,15 +75,15 @@ class Samples {
  public:
   void Add(double v) { values_.push_back(v); }
   void Append(const Samples& other);
+  void Reserve(std::size_t n) { values_.reserve(n); }
   std::size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
   double Median() const { return Quantile(0.5); }
   double Quantile(double q) const;  // nearest-rank on a sorted copy
   double at(std::size_t i) const { return values_.at(i); }
 
-  // p90 when at least ten samples lie beyond it, else the slowest sample.
-  // (p99 of a TCP round trip moves by tens of percent between runs on a
-  // shared host; p90 is the highest percentile steady enough to gate on.)
+  // The highest of p99 and p90 that has at least ten samples beyond it,
+  // else the slowest sample.
   struct Tail {
     double q = 1.0;
     double value = 0;
@@ -130,6 +132,11 @@ double PeakRssMb();
 // metrics hold still on a shared host where wall times drift.
 double ProcessCpuSeconds();
 double ThreadCpuSeconds(std::thread& thread);
+
+// The CPUs this process may run on, ascending.
+std::vector<int> AllowedCpus();
+// Restricts a thread to `cpus`; threads it creates afterwards inherit them.
+void PinThread(pthread_t thread, const std::vector<int>& cpus);
 
 std::uint64_t Fnv1a(std::string_view bytes);
 
@@ -281,6 +288,9 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
   int port() const { return port_; }
   bool ok() const { return port_ > 0; }
+  // Restricts the accepting thread to `cpus`: each connection thread it
+  // starts afterwards inherits them.
+  void PinAcceptor(const std::vector<int>& cpus);
   void Stop();
 
  private:

@@ -115,7 +115,8 @@ class Pipeline final : public Workload {
       : options_(options),
         path_((fs::path(options.work_dir) / "pipeline.ips2").string()) {}
 
-  int setup_repetitions() const override { return 5; }
+  // Set-up is the 0.05 s world build alone, so it is repeated more often.
+  int setup_repetitions() const override { return 9; }
 
   double Setup(bool traced) override {
     Teardown();

@@ -56,9 +56,13 @@ int main(int argc, char** argv) {
 
   perfbench::Samples s;
   for (int i = 1; i <= 1000; ++i) s.Add(i);
-  Expect(s.Median() == 500 && s.SupportedTail().q == 0.9 &&
-             s.SupportedTail().value == 900,
-         "tail: p90 of 1..1000 is 900");
+  Expect(s.Median() == 500 && s.SupportedTail().q == 0.99 &&
+             s.SupportedTail().value == 990,
+         "tail: p99 of 1..1000 is 990");
+  perfbench::Samples some;
+  for (int i = 1; i <= 500; ++i) some.Add(i);
+  Expect(some.SupportedTail().q == 0.9 && some.SupportedTail().value == 450,
+         "tail: 500 samples leave 5 beyond p99, so p90");
   perfbench::Samples few;
   for (int i = 1; i <= 50; ++i) few.Add(i);
   Expect(few.SupportedTail().q == 1.0 &&

@@ -2,11 +2,13 @@
 // serve::RunTcpServer on loopback, in this process, driven by closed-loop
 // clients over real TCP connections.
 //
-// serve-steady: set-up is world + store build + server ready. Two
-//   connections issue the seeded mix (Zipf point lookups over every block,
-//   0.4% prefix/as lookups) after a short warm-up that fills the response
-//   cache. One operation is one request. The aggregates' cold cost is
-//   measured by ingest-reload and by the traced replay.
+// serve-steady: set-up is world + store build + server ready. One
+//   connection per CPU issues the seeded mix (Zipf point lookups over
+//   every block, 0.4% prefix/as lookups) after a short warm-up that fills
+//   the response cache; each client thread runs on the CPU of its
+//   connection's server thread. One operation is one request. The
+//   aggregates' cold cost is measured by ingest-reload and by the traced
+//   replay.
 //
 // ingest-reload: set-up is world + store build + ingest::Session bootstrap
 //   with days [0, D-16) + server ready on the loaded store. One operation
@@ -39,6 +41,9 @@ namespace serve = ipscope::serve;
 
 constexpr double kWarmupSeconds = 0.5;
 constexpr std::size_t kReplayRequests = 20000;
+// Above what one loopback connection completes; sizes the recording space
+// reserved up front.
+constexpr double kMaxRequestsPerSecond = 200000;
 constexpr int kAggregateProbes = 3;
 
 // The serve.* counters a phase reports as deltas.
@@ -60,17 +65,26 @@ struct Connection {
   std::vector<Answer> answers;
   std::vector<std::uint32_t> issued;  // body indices while measuring
   std::uint64_t not_ok = 0;
+  std::atomic<bool> answered{false};  // the first exchange is over
 };
 
 // Traced requests are spans named `span`. `corrupt_at` >= 0 flips one byte
 // of that response (by position in this connection) before it is
-// recorded: the oracle's self-test.
+// recorded: the oracle's self-test. `cpu` >= 0 pins the client thread.
+// Space for `expected` requests is reserved up front, so the records grow
+// page by page rather than by doubling, and peak RSS does not jump with
+// where the request count falls between two powers of two.
 void ClientLoop(int port, const Catalog& catalog, RequestStream stream,
                 const std::atomic<bool>& measuring,
                 const std::atomic<Clock::rep>& start,
                 const std::atomic<bool>& stop, bool traced,
-                const std::string& span, std::int64_t corrupt_at,
-                Connection& out) {
+                const std::string& span, std::int64_t corrupt_at, int cpu,
+                std::size_t expected, Connection& out) {
+  if (cpu >= 0) PinThread(pthread_self(), {cpu});
+  out.latency.Reserve(expected);
+  out.done_at.reserve(expected);
+  out.answers.reserve(expected);
+  out.issued.reserve(expected);
   Client client{port};
   std::string response;
   while (!stop.load(std::memory_order_relaxed)) {
@@ -100,6 +114,7 @@ void ClientLoop(int port, const Catalog& catalog, RequestStream stream,
                                 .count());
       out.issued.push_back(static_cast<std::uint32_t>(i));
     }
+    out.answered.store(true);
     if (!ok) break;  // the connection is gone; the failure is recorded
   }
 }
@@ -122,6 +137,8 @@ class ServeSteady final : public Workload {
  public:
   explicit ServeSteady(const Options& options) : options_(options) {}
   ~ServeSteady() override { Teardown(); }
+
+  int setup_repetitions() const override { return 5; }
 
   double Setup(bool traced) override {
     Teardown();
@@ -158,18 +175,34 @@ class ServeSteady final : public Workload {
     ServeCounters all0 = ServeCounters::Take();
     std::atomic<bool> measuring{false}, stop{false};
     std::atomic<Clock::rep> start_at{0};
-    std::vector<Connection> conns(2);
+    // One connection per CPU. Each client thread shares its CPU with the
+    // server thread of its connection, so a round trip is two context
+    // switches on that CPU rather than two cross-CPU wake-ups, whose cost
+    // on a shared host drifts with the host's load; and every CPU carries
+    // the same load, so how fast the host runs one of them moves the
+    // medians less. The acceptor is pinned while its connection's thread
+    // starts; the first answer proves it started.
+    const std::vector<int> cpus = AllowedCpus();
+    std::vector<Connection> conns(std::max<std::size_t>(1, cpus.size()));
     std::vector<std::thread> threads;
+    const auto expected = static_cast<std::size_t>(
+        (seconds + kWarmupSeconds) * kMaxRequestsPerSecond);
     for (std::size_t c = 0; c < conns.size(); ++c) {
+      int cpu = cpus.empty() ? -1 : cpus[c];
+      if (cpu >= 0) daemon_->PinAcceptor({cpu});
       std::uint64_t stream_seed = options_.seed * 1000003 + runs_ * 16 + c;
       threads.emplace_back(ClientLoop, daemon_->port(), std::cref(*catalog_),
                            RequestStream{*catalog_, stream_seed, false},
                            std::cref(measuring), std::cref(start_at),
                            std::cref(stop), traced,
                            std::string("serve.rtt"),
-                           c == 0 ? options_.corrupt_response : -1,
-                           std::ref(conns[c]));
+                           c == 0 ? options_.corrupt_response : -1, cpu,
+                           expected, std::ref(conns[c]));
+      while (!conns[c].answered.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
     }
+    daemon_->PinAcceptor(cpus);
     ++runs_;
     std::this_thread::sleep_for(std::chrono::duration<double>(kWarmupSeconds));
     ServeCounters c0 = ServeCounters::Take();
@@ -180,20 +213,38 @@ class ServeSteady final : public Workload {
       for (std::thread& t : threads) sum += ThreadCpuSeconds(t);
       return sum;
     };
-    double cpu0 = ProcessCpuSeconds() - clients_cpu();
+    // The program's CPU time is read at every window boundary.
+    const std::size_t windows = static_cast<std::size_t>(
+        std::max(1.0, std::floor(seconds)));
+    phase.window_s = seconds / static_cast<double>(windows);
+    double cpu_mark = ProcessCpuSeconds() - clients_cpu();
+    const double cpu0 = cpu_mark;
     measuring.store(true);
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+    for (std::size_t w = 1; w <= windows; ++w) {
+      std::this_thread::sleep_until(
+          start + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double>(
+                          phase.window_s * static_cast<double>(w))));
+      double cpu = ProcessCpuSeconds() - clients_cpu();
+      phase.window_cpu_s.push_back(cpu - cpu_mark);
+      cpu_mark = cpu;
+    }
     measuring.store(false);
     phase.wall = SecondsSince(start);
-    phase.cpu_s = ProcessCpuSeconds() - clients_cpu() - cpu0;
+    phase.cpu_s = cpu_mark - cpu0;
     ServeCounters c1 = ServeCounters::Take();
     stop.store(true);
     for (std::thread& t : threads) t.join();
     ServeCounters all1 = ServeCounters::Take();
 
-    phase.window_s = phase.wall / std::max(1.0, std::floor(phase.wall));
-    phase.windows.resize(static_cast<std::size_t>(
-        std::max(1.0, std::floor(phase.wall))));
+    phase.windows.resize(windows);
+    std::size_t requests = 0, answers = answers_.size();
+    for (const Connection& c : conns) {
+      requests += c.latency.size();
+      answers += c.answers.size();
+    }
+    phase.op.Reserve(requests);
+    answers_.reserve(answers);
     std::uint64_t not_ok = 0;
     for (Connection& c : conns) {
       phase.op.Append(c.latency);
@@ -392,7 +443,7 @@ class IngestReload final : public Workload {
                       /*points_only=*/true},
         std::cref(measuring), std::cref(start_at), std::cref(stop), traced,
         std::string("ingest.reader.rtt"), options_.corrupt_response,
-        std::ref(reader)};
+        /*cpu=*/-1, /*expected=*/0, std::ref(reader)};
     Client aggregates{daemon_->port()};
     ServeCounters c0 = ServeCounters::Take();
     std::uint64_t shard_bytes0 = CounterValue("ingest.shard_bytes");

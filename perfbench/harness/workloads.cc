@@ -20,6 +20,7 @@ double Ops(const Phase& p) {
 
 struct OpMetrics {
   double p50 = 0, tail = 0, ops = 0;
+  double cpu_per_op = 0;  // seconds
   Samples::Tail tail_kind;
 };
 
@@ -30,18 +31,26 @@ OpMetrics OpMetricsOf(const Phase& phase) {
     m.p50 = phase.op.Median();
     m.tail = m.tail_kind.value;
     m.ops = Ops(phase);
+    m.cpu_per_op = phase.op.empty()
+                       ? 0.0
+                       : phase.cpu_s / static_cast<double>(phase.op.size());
     return m;
   }
-  Samples p50, tail, ops;
-  for (const Samples& w : phase.windows) {
+  Samples p50, tail, ops, cpu;
+  for (std::size_t k = 0; k < phase.windows.size(); ++k) {
+    const Samples& w = phase.windows[k];
     if (w.empty()) continue;
     p50.Add(w.Median());
     tail.Add(w.Quantile(m.tail_kind.q));
     ops.Add(static_cast<double>(w.size()) / phase.window_s);
+    if (k < phase.window_cpu_s.size()) {
+      cpu.Add(phase.window_cpu_s[k] / static_cast<double>(w.size()));
+    }
   }
   m.p50 = p50.Median();
   m.tail = tail.Median();
   m.ops = ops.Median();
+  m.cpu_per_op = cpu.Median();
   return m;
 }
 
@@ -52,11 +61,19 @@ void AddE2e(Report& report, double setup_s, const Phase& phase,
   report.e2e["op_p50_ms"] = Metric{m.p50 * 1e3, "ms"};
   report.e2e["op_tail_ms"] = Metric{m.tail * 1e3, "ms"};
   report.e2e["peak_rss_mb"] = Metric{peak_rss_mb, "MB"};
-  report.e2e["cpu_ms_per_op"] = Metric{
-      phase.op.empty() ? 0.0
-                       : phase.cpu_s * 1e3 /
-                             static_cast<double>(phase.op.size()),
-      "ms"};
+  report.e2e["cpu_ms_per_op"] = Metric{m.cpu_per_op * 1e3, "ms"};
+  std::string quantiles = "latency ms:";
+  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
+    Samples per_window;
+    for (const Samples& w : phase.windows) {
+      if (!w.empty()) per_window.Add(w.Quantile(q));
+    }
+    double v = phase.windows.empty() ? phase.op.Quantile(q)
+                                     : per_window.Median();
+    quantiles += " p" + std::to_string(static_cast<int>(std::lround(q * 100))) +
+                 "=" + std::to_string(v * 1e3);
+  }
+  report.notes.push_back(quantiles);
   report.notes.push_back(
       "operations: " + std::to_string(phase.op.size()) + " in " +
       std::to_string(phase.wall) + " s, " + std::to_string(m.ops) +

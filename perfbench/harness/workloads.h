@@ -2,7 +2,8 @@
 //
 //   pipeline       the CLI batch path: store build -> store file save/load
 //                  -> churn, change and pattern analyses
-//   serve-steady   a read-only daemon under a closed loop of 2 connections
+//   serve-steady   a read-only daemon under a closed loop of one connection
+//                  per CPU, each client thread on its server thread's CPU
 //   ingest-reload  append a day, load, reload and re-ask the aggregates,
 //                  while a second connection keeps reading
 //
@@ -27,9 +28,11 @@ struct Phase {
   // the harness's client threads excluded.
   double cpu_s = 0;
   // When set: `op` split into consecutive equal windows of `window_s`
-  // seconds. The end-to-end metrics are then medians over windows, so a
-  // short burst of outside interference moves none of them.
+  // seconds, with the CPU seconds (as `cpu_s`) each window took. The
+  // end-to-end metrics are then medians over windows, so a short burst of
+  // outside interference moves none of them.
   std::vector<Samples> windows;
+  std::vector<double> window_cpu_s;
   double window_s = 0;
   // Registry-derived per-layer values observed during this phase.
   std::map<std::string, Metric> layer;
