@@ -11,7 +11,7 @@
 //   delta_append    commit the final day's delta — the steady-state cost
 //   delta_replay    re-commit the same delta (idempotent no-op)
 //   sharded_load    Session::Load() composing all shards
-//   single_load     LoadStoreFile of the monolithic file
+//   single_load     TryLoadStoreFile of the monolithic file
 //
 // The harness fails loudly unless the composed sharded store serializes
 // bit-identically to the batch-built one. Writes BENCH_ingest.json
@@ -48,33 +48,6 @@ struct StageResult {
   double mbytes = 0;  // bytes moved / 1e6, 0 when not meaningful
 };
 
-// A day-slice delta with every block of `full` present, so composed
-// shards serialize byte-identically to the batch store (the same slicing
-// the chaos-crash gate uses).
-ipscope::activity::ActivityStore SliceDays(
-    const ipscope::activity::ActivityStore& full, int first, int last) {
-  ipscope::activity::ActivityStore delta{full.days()};
-  for (int d = 0; d < full.days(); ++d) {
-    if (d < first || d > last || !full.DayCovered(d)) {
-      delta.SetDayCovered(d, false);
-    }
-  }
-  full.ForEach([&](ipscope::net::BlockKey key,
-                   const ipscope::activity::ActivityMatrix& m) {
-    ipscope::activity::ActivityMatrix& dst = delta.GetOrCreate(key);
-    for (int d = first; d <= last; ++d) {
-      if (delta.DayCovered(d)) dst.Row(d) = m.Row(d);
-    }
-  });
-  return delta;
-}
-
-std::string StoreBytes(const ipscope::activity::ActivityStore& store) {
-  std::ostringstream os{std::ios::binary};
-  ipscope::io::SaveStore(store, os);
-  return std::move(os).str();
-}
-
 void WriteJson(std::ostream& os, const ipscope::sim::WorldConfig& cfg,
                const std::vector<StageResult>& stages, double total) {
   os << "{\n  \"bench\": \"ingest\",\n"
@@ -107,8 +80,8 @@ int main(int argc, char** argv) {
   ipscope::sim::World world{config};
   auto full = ipscope::cdn::Observatory::Daily(world).BuildStore();
   const int days = full.days();
-  auto bulk = SliceDays(full, 0, days - 2);
-  auto last_day = SliceDays(full, days - 1, days - 1);
+  auto bulk = ipscope::ingest::SliceDays(full, 0, days - 2);
+  auto last_day = ipscope::ingest::SliceDays(full, days - 1, days - 1);
 
   fs::path root = fs::temp_directory_path() /
                   ("ipscope_bench_ingest_" + std::to_string(::getpid()));
@@ -126,7 +99,8 @@ int main(int argc, char** argv) {
     total += stages.back().seconds;
   };
 
-  const double full_mb = static_cast<double>(StoreBytes(full).size()) / 1e6;
+  const double full_mb =
+      static_cast<double>(ipscope::io::StoreBytes(full).size()) / 1e6;
   stage("batch_save", full_mb,
         [&] { ipscope::io::SaveStoreFile(full, batch_file.string()); });
 
@@ -158,16 +132,17 @@ int main(int argc, char** argv) {
   stage("sharded_load", full_mb, [&] {
     auto r = session.Load();
     if (!r.ok()) throw std::runtime_error(r.error().ToString());
-    sharded_image = StoreBytes(r.value());
+    sharded_image = ipscope::io::StoreBytes(r.value());
   });
   stage("single_load", full_mb, [&] {
-    auto loaded = ipscope::io::LoadStoreFile(batch_file.string());
-    if (loaded.BlockCount() != full.BlockCount()) {
+    auto loaded = ipscope::io::TryLoadStoreFile(batch_file.string());
+    if (!loaded.ok()) throw std::runtime_error(loaded.error().ToString());
+    if (loaded.value().store.BlockCount() != full.BlockCount()) {
       throw std::runtime_error("batch reload lost blocks");
     }
   });
 
-  if (sharded_image != StoreBytes(full)) {
+  if (sharded_image != ipscope::io::StoreBytes(full)) {
     std::cerr << "FAIL: composed sharded store is not bit-identical to the "
                  "batch build\n";
     return 1;

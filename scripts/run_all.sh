@@ -18,10 +18,12 @@ if [ "${IPSCOPE_SKIP_SANITIZERS:-0}" != "1" ]; then
   # TSAN is incompatible with ASan, so it gets its own tree. The pass
   # covers the concurrency-bearing suites: the obs registry (Obs*), the
   # par::Pool scheduler, and the parallel determinism tests (Par*), with
-  # oversubscribed thread counts to force real interleavings.
+  # oversubscribed thread counts to force real interleavings, plus serve
+  # (Serve*: concurrent reloads against readers, the 8-thread hammer).
   cmake -B build-tsan -G Ninja -DIPSCOPE_TSAN=ON
-  cmake --build build-tsan --target ipscope_tests ipscope_par_tests
-  ctest --test-dir build-tsan -j"$(nproc)" -R '^(Obs|Par)'
+  cmake --build build-tsan --target ipscope_tests ipscope_par_tests \
+    ipscope_serve_tests
+  ctest --test-dir build-tsan -j"$(nproc)" -R '^(Obs|Par|Serve)'
 fi
 
 mkdir -p results

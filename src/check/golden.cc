@@ -12,6 +12,7 @@
 #include "activity/metrics.h"
 #include "activity/pattern.h"
 #include "cdn/observatory.h"
+#include "io/atomic_file.h"
 #include "io/crc32c.h"
 #include "obs/registry.h"
 #include "report/csv.h"
@@ -245,15 +246,6 @@ const char* GoldenIssueKindName(GoldenIssue::Kind kind) {
 
 namespace {
 
-bool ReadFile(const std::filesystem::path& path, std::string* out) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) return false;
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
 // MANIFEST.csv rows -> (file, crc hex), header skipped. The manifest is
 // machine-written; unparseable rows surface as kStale on their files.
 std::vector<std::pair<std::string, std::string>> ParseManifest(
@@ -284,13 +276,14 @@ std::vector<GoldenIssue> VerifyGoldens(const std::string& dir,
       .GetCounter("check.golden_files_checked")
       .Add(rendered.size());
 
-  std::string manifest_text;
   std::vector<std::pair<std::string, std::string>> manifest;
-  if (!ReadFile(std::filesystem::path(dir) / kManifestName, &manifest_text)) {
+  auto manifest_text = io::ReadWholeFile(
+      (std::filesystem::path(dir) / kManifestName).string());
+  if (!manifest_text.ok()) {
     issues.push_back(GoldenIssue{GoldenIssue::Kind::kMissing, kManifestName,
                                  "run with --update-goldens to create"});
   } else {
-    manifest = ParseManifest(manifest_text);
+    manifest = ParseManifest(manifest_text.value());
   }
   auto manifest_crc = [&](const std::string& name) -> const std::string* {
     for (const auto& row : manifest) {
@@ -300,12 +293,14 @@ std::vector<GoldenIssue> VerifyGoldens(const std::string& dir,
   };
 
   for (const GoldenFile& f : rendered) {
-    std::string on_disk;
-    if (!ReadFile(std::filesystem::path(dir) / f.name, &on_disk)) {
+    auto read =
+        io::ReadWholeFile((std::filesystem::path(dir) / f.name).string());
+    if (!read.ok()) {
       issues.push_back(GoldenIssue{GoldenIssue::Kind::kMissing, f.name,
                                    "snapshot not on disk"});
       continue;
     }
+    const std::string& on_disk = read.value();
     const std::string* committed = manifest_crc(f.name);
     std::string disk_crc = CrcHex(on_disk);
     if (committed != nullptr && *committed != disk_crc) {

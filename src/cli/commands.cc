@@ -154,6 +154,29 @@ global flags (any command):
                        or https://ui.perfetto.dev).
 )";
 
+// Loads the store file at `path` into *store. On failure prints the typed
+// error the way Run() reports any failed command ("error: <StoreError>")
+// and returns false; the command then exits 1.
+bool LoadDataset(const std::string& path, std::ostream& err,
+                 activity::ActivityStore* store) {
+  auto result = io::TryLoadStoreFile(path);
+  if (!result.ok()) {
+    err << "error: " << result.error().ToString() << "\n";
+    return false;
+  }
+  *store = std::move(result).value().store;
+  return true;
+}
+
+// --window: snapshots per window, at least 1 (it divides the period).
+int WindowFlag(const CommandLine& cmd, int fallback) {
+  int window = cmd.IntFlag("window", fallback);
+  if (window < 1) {
+    throw FlagError("--window must be >= 1, got " + std::to_string(window));
+  }
+  return window;
+}
+
 int CmdGenerate(const CommandLine& cmd, std::ostream& out,
                 std::ostream& err) {
   auto out_path = cmd.Flag("out");
@@ -180,7 +203,8 @@ int CmdSummary(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "summary: dataset path required\n";
     return 2;
   }
-  auto store = io::LoadStoreFile(cmd.positional[0]);
+  activity::ActivityStore store{1};
+  if (!LoadDataset(cmd.positional[0], err, &store)) return 1;
   auto daily = store.DailyActiveCounts();
   std::vector<double> series(daily.begin(), daily.end());
   out << "dataset: " << store.BlockCount() << " /24 blocks, " << store.days()
@@ -207,8 +231,9 @@ int CmdChurn(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "churn: dataset path required\n";
     return 2;
   }
-  auto store = io::LoadStoreFile(cmd.positional[0]);
-  int window = cmd.IntFlag("window", 1);
+  int window = WindowFlag(cmd, 1);
+  activity::ActivityStore store{1};
+  if (!LoadDataset(cmd.positional[0], err, &store)) return 1;
   activity::ChurnAnalyzer churn{store};
   auto series = churn.Churn(window);
   if (series.up_pct.empty()) {
@@ -237,7 +262,8 @@ int CmdBlocks(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "blocks: dataset path required\n";
     return 2;
   }
-  auto store = io::LoadStoreFile(cmd.positional[0]);
+  activity::ActivityStore store{1};
+  if (!LoadDataset(cmd.positional[0], err, &store)) return 1;
   auto metrics = activity::ComputeBlockMetrics(store);
   std::string sort = cmd.Flag("sort").value_or("stu");
   if (sort == "fd") {
@@ -280,7 +306,8 @@ int CmdRender(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "render: '" << *flag << "' is not a /24 prefix\n";
     return 2;
   }
-  auto store = io::LoadStoreFile(cmd.positional[0]);
+  activity::ActivityStore store{1};
+  if (!LoadDataset(cmd.positional[0], err, &store)) return 1;
   const activity::ActivityMatrix* matrix =
       store.Find(net::BlockKeyOf(*prefix));
   if (matrix == nullptr) {
@@ -302,8 +329,9 @@ int CmdEvents(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "events: dataset path required\n";
     return 2;
   }
-  auto store = io::LoadStoreFile(cmd.positional[0]);
-  int window = cmd.IntFlag("window", 7);
+  int window = WindowFlag(cmd, 7);
+  activity::ActivityStore store{1};
+  if (!LoadDataset(cmd.positional[0], err, &store)) return 1;
   int num_windows = store.days() / window;
   if (num_windows < 2) {
     err << "events: window too large for this dataset\n";
@@ -345,7 +373,8 @@ int CmdExport(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "export: --outdir DIR is required\n";
     return 2;
   }
-  auto store = io::LoadStoreFile(cmd.positional[0]);
+  activity::ActivityStore store{1};
+  if (!LoadDataset(cmd.positional[0], err, &store)) return 1;
 
   {
     std::ofstream os{*outdir + "/daily_counts.csv"};
@@ -408,7 +437,8 @@ int CmdHitlist(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "hitlist: unknown strategy '" << name << "'\n";
     return 2;
   }
-  auto store = io::LoadStoreFile(cmd.positional[0]);
+  activity::ActivityStore store{1};
+  if (!LoadDataset(cmd.positional[0], err, &store)) return 1;
   auto hitlist =
       measurement::BuildHitlist(store, 0, store.days(), strategy);
   for (const auto& entry : hitlist) {
@@ -493,7 +523,8 @@ int CmdProfile(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     sim::World world{config};
     auto store = cdn::Observatory::Daily(world).BuildStore();
     io::SaveStoreFile(store, path);
-    auto loaded = io::LoadStoreFile(path);
+    activity::ActivityStore loaded{1};
+    if (!LoadDataset(path, err, &loaded)) return false;
 
     activity::ChurnAnalyzer churn{loaded};
     churn.Churn(7);
@@ -504,6 +535,7 @@ int CmdProfile(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
                            (p + 1) * window, (p + 2) * window, true);
     }
     activity::ComputeBlockMetrics(loaded);
+    return true;
   };
 
   auto& registry = obs::GlobalRegistry();
@@ -528,12 +560,12 @@ int CmdProfile(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   // (quantiles don't subtract; those cells stay blank).
   int pool_threads = par::GlobalPool().threads();
   par::GlobalPool().Resize(1);
-  run_pipeline();
+  if (!run_pipeline()) return 1;
   auto serial_snaps = snapshot();
   auto serial_gauges = gauge_snapshot();
   if (pool_threads > 1) {
     par::GlobalPool().Resize(pool_threads);
-    run_pipeline();
+    if (!run_pipeline()) return 1;
   }
   auto final_snaps = snapshot();
   auto final_gauges = gauge_snapshot();
@@ -725,7 +757,7 @@ int CmdChaos(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "chaos: " << parse_error << "\n";
     return 2;
   }
-  int window = cmd.IntFlag("window", 7);
+  int window = WindowFlag(cmd, 7);
 
   fault::Injector injector{schedule};
   fault::Injector::Report report;
@@ -752,9 +784,7 @@ int CmdChaos(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   auto clean = cdn::Observatory::Daily(world).BuildStore();
 
   // Stage 2: serialize, damage the bytes, salvage-load.
-  std::stringstream buffer;
-  io::SaveStore(clean, buffer);
-  const std::string original = buffer.str();
+  const std::string original = io::StoreBytes(clean);
   std::string bytes = original;
   injector.ApplyToBytes(bytes, &report);
   auto predicted = PredictSalvage(clean, bytes.size(), report.flipped_offsets,
@@ -957,33 +987,6 @@ int CmdChaos(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   return all_ok ? 0 : 1;
 }
 
-// The day-slice delta of `full` covering [first, last] (inclusive): every
-// block of the full store is present — even ones with no activity in the
-// range — so composing the resulting shards serializes byte-identically
-// to the batch-built store, which is what the gate memcmp's against.
-activity::ActivityStore SliceDays(const activity::ActivityStore& full,
-                                  int first, int last) {
-  activity::ActivityStore delta{full.days()};
-  for (int d = 0; d < full.days(); ++d) {
-    if (d < first || d > last || !full.DayCovered(d)) {
-      delta.SetDayCovered(d, false);
-    }
-  }
-  full.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
-    activity::ActivityMatrix& dst = delta.GetOrCreate(key);
-    for (int d = first; d <= last; ++d) {
-      if (delta.DayCovered(d)) dst.Row(d) = m.Row(d);
-    }
-  });
-  return delta;
-}
-
-std::string StoreBytes(const activity::ActivityStore& store) {
-  std::ostringstream os{std::ios::binary};
-  io::SaveStore(store, os);
-  return std::move(os).str();
-}
-
 int CmdChaosCrash(const CommandLine& cmd, std::ostream& out,
                   std::ostream& err) {
   int blocks = cmd.IntFlag("blocks", 120);
@@ -1026,10 +1029,10 @@ int CmdChaosCrash(const CommandLine& cmd, std::ostream& out,
     auto full = cdn::Observatory::Daily(world).BuildStore();
     c.days = full.days();
     int split = c.days / 2;
-    c.delta0 = SliceDays(full, 0, split - 1);
-    c.delta1 = SliceDays(full, split, c.days - 1);
-    c.full_bytes = StoreBytes(full);
-    c.prefix_bytes = StoreBytes(c.delta0);
+    c.delta0 = ingest::SliceDays(full, 0, split - 1);
+    c.delta1 = ingest::SliceDays(full, split, c.days - 1);
+    c.full_bytes = io::StoreBytes(full);
+    c.prefix_bytes = io::StoreBytes(c.delta0);
     cases.push_back(std::move(c));
   }
   int pool_threads = par::GlobalPool().threads();
@@ -1127,7 +1130,7 @@ int CmdChaosCrash(const CommandLine& cmd, std::ostream& out,
         fail("recovered load: " + loaded.error().ToString());
         continue;
       }
-      if (StoreBytes(loaded.value()) !=
+      if (io::StoreBytes(loaded.value()) !=
           (expect_delta1 ? c.full_bytes : c.prefix_bytes)) {
         fail("recovered store diverges from committed prefix");
         continue;
@@ -1154,7 +1157,7 @@ int CmdChaosCrash(const CommandLine& cmd, std::ostream& out,
       }
       auto final_load = after.Load();
       if (!final_load.ok() ||
-          StoreBytes(final_load.value()) != c.full_bytes) {
+          io::StoreBytes(final_load.value()) != c.full_bytes) {
         fail("replayed store is not bit-identical to the batch build");
         continue;
       }
@@ -1610,7 +1613,7 @@ int CmdServe(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     }
     store = std::move(loaded).value();
   } else if (!cmd.positional.empty()) {
-    store = io::LoadStoreFile(cmd.positional[0]);
+    if (!LoadDataset(cmd.positional[0], err, &store)) return 1;
   } else {
     err << "serve: dataset path or --session DIR required\n";
     return 2;

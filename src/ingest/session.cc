@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -36,17 +35,6 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-// Reads a whole file; returns false on any open/read failure.
-bool ReadFile(const fs::path& path, std::string* out) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) return false;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (is.bad()) return false;
-  *out = std::move(buf).str();
-  return true;
-}
-
 // Moves `name` (relative to dir) into dir/quarantine/, deduplicating the
 // target name if a previous recovery already parked one like it.
 bool Quarantine(const fs::path& dir, const std::string& name,
@@ -69,12 +57,13 @@ bool Quarantine(const fs::path& dir, const std::string& name,
 // returns the raw bytes (the caller parses them when composing).
 Result<std::string, io::StoreError> ReadShard(const fs::path& dir,
                                               const ShardEntry& entry) {
-  std::string bytes;
-  if (!ReadFile(dir / entry.file, &bytes)) {
+  auto read = io::ReadWholeFile((dir / entry.file).string());
+  if (!read.ok()) {
     return io::StoreError{io::StoreErrorKind::kOpenFailed, 0,
                           "committed shard missing or unreadable: " +
                               entry.file};
   }
+  std::string bytes = std::move(read).value();
   if (bytes.size() != entry.bytes) {
     return io::StoreError{
         io::StoreErrorKind::kTruncated, bytes.size(),
@@ -117,6 +106,23 @@ DayRange CoveredRange(const activity::ActivityStore& store) {
 
 }  // namespace
 
+activity::ActivityStore SliceDays(const activity::ActivityStore& full,
+                                  int first, int last) {
+  activity::ActivityStore delta{full.days()};
+  for (int d = 0; d < full.days(); ++d) {
+    if (d < first || d > last || !full.DayCovered(d)) {
+      delta.SetDayCovered(d, false);
+    }
+  }
+  full.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
+    activity::ActivityMatrix& dst = delta.GetOrCreate(key);
+    for (int d = first; d <= last; ++d) {
+      if (delta.DayCovered(d)) dst.Row(d) = m.Row(d);
+    }
+  });
+  return delta;
+}
+
 Result<Session, io::StoreError> Session::Open(const std::string& dir,
                                               int days) {
   auto& registry = obs::GlobalRegistry();
@@ -154,9 +160,10 @@ Result<Session, io::StoreError> Session::Open(const std::string& dir,
   // Pass 2: the manifest. Absent manifest = empty store (first open, or a
   // crash before the very first commit — any shards present are orphans).
   Manifest manifest;
-  std::string manifest_text;
-  if (ReadFile(fs::path(dir) / kManifestName, &manifest_text)) {
-    auto parsed = ParseManifest(manifest_text);
+  auto manifest_text =
+      io::ReadWholeFile((fs::path(dir) / kManifestName).string());
+  if (manifest_text.ok()) {
+    auto parsed = ParseManifest(manifest_text.value());
     if (!parsed.ok()) {
       registry.GetCounter("io.manifest.errors").Add(1);
       io::StoreError error = parsed.error();
@@ -193,8 +200,9 @@ Result<Session, io::StoreError> Session::Open(const std::string& dir,
       continue;
     }
     // Teeth-test bug path: blindly adopt the orphan as committed.
-    std::string bytes;
-    if (!ReadFile(fs::path(dir) / name, &bytes)) continue;
+    auto read = io::ReadWholeFile((fs::path(dir) / name).string());
+    if (!read.ok()) continue;
+    const std::string& bytes = read.value();
     auto loaded = io::TryLoadStoreFile((fs::path(dir) / name).string());
     if (!loaded.ok()) continue;
     DayRange range = CoveredRange(loaded.value().store);
@@ -244,9 +252,7 @@ Result<AppendResult, io::StoreError> Session::Append(
   // write path below. (SaveStore is pool-free, so Append is safe even in
   // a forked child of a multithreaded parent — the chaos gate relies on
   // this.)
-  std::ostringstream buffer{std::ios::binary};
-  io::SaveStore(delta, buffer);
-  std::string bytes = std::move(buffer).str();
+  std::string bytes = io::StoreBytes(delta);
 
   char shard_name[64];
   std::snprintf(shard_name, sizeof(shard_name), "shard-%03d-%03d-",

@@ -60,6 +60,14 @@ struct RecoveryReport {
   std::vector<std::string> quarantined;
 };
 
+// The Append delta for days [first, last] (inclusive) of `full`: every
+// block of `full` is present, even ones with no activity in the range, and
+// only the range's days that `full` covers are covered. Appending the
+// slices of a partition of the period therefore composes (Load) into a
+// store that serializes byte-identically to `full`.
+activity::ActivityStore SliceDays(const activity::ActivityStore& full,
+                                  int first, int last);
+
 class Session {
  public:
   // Opens `dir` (creating it if needed), runs recovery, and verifies the

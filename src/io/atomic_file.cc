@@ -1,6 +1,7 @@
 #include "io/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -21,8 +22,9 @@ std::string StageError(std::string_view stage, const std::string& path,
 }
 
 // Closes a descriptor on a path that already failed: the temp file is
-// about to be unlinked, so this close cannot lose committed data and its
-// result would not change the error being reported.
+// about to be unlinked (or the read is being reported as failed), so this
+// close cannot lose committed data and its result would not change the
+// error being reported.
 void CloseDiscard(int fd) {
   // lint: close(the enclosing operation already failed and the temp file
   // is discarded; a close error here cannot lose committed data)
@@ -125,6 +127,39 @@ std::optional<std::string> WriteFileAtomic(const std::string& path,
     return StageError("directory fsync", path, dir_err);
   }
   return std::nullopt;
+}
+
+Result<std::string, ReadFileError> ReadWholeFile(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return ReadFileError{"open", StageError("open", path, errno)};
+  // Read straight into a buffer sized from fstat. The spare byte lets the
+  // read that sees end-of-file land inside it, so an unchanged file is
+  // read with no reallocation: one copy of the content in memory. Files
+  // longer than reported (procfs says 0) grow the buffer as they go.
+  struct stat st {};
+  std::string content(
+      ::fstat(fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size) + 1
+          : 1,
+      '\0');
+  std::size_t done = 0;
+  while (true) {
+    if (done == content.size()) content.resize(2 * content.size());
+    ssize_t n = ::read(fd, content.data() + done, content.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      int err = errno;
+      CloseDiscard(fd);
+      return ReadFileError{"read", StageError("read", path, err)};
+    }
+    if (n == 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  content.resize(done);
+  if (::close(fd) != 0) {
+    return ReadFileError{"close", StageError("close", path, errno)};
+  }
+  return content;
 }
 
 }  // namespace ipscope::io

@@ -1,5 +1,6 @@
-// Durable whole-file replacement: write-temp → flush → fsync → close →
-// atomic rename, every return value checked.
+// Whole-file I/O with every return value checked: durable replacement
+// (write-temp → flush → fsync → close → atomic rename) and the matching
+// whole-file read.
 //
 // This is the one primitive every output path in the project goes through
 // (store files, metrics/trace dumps, bench-JSON reports, the ingest
@@ -15,6 +16,10 @@
 // the chaos-crash gate can kill the process at each one and prove
 // recovery. Production callers pass no hooks and pay nothing.
 //
+// ReadWholeFile is the one way the project reads a file it did not just
+// write (ingest shards and MANIFEST, golden snapshots, bench reports): a
+// read that fails part-way is an error, never a short success.
+//
 // This header is dependency-free by design (no obs, no StoreError): it
 // sits below both src/obs and src/io's store layer in the link graph, so
 // either can use it. Errors come back as a human-readable message naming
@@ -27,6 +32,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "io/result.h"
 
 namespace ipscope::io {
 
@@ -56,5 +63,18 @@ struct AtomicWriteHooks {
 [[nodiscard]] std::optional<std::string> WriteFileAtomic(
     const std::string& path, std::string_view content,
     const AtomicWriteHooks* hooks = nullptr);
+
+struct ReadFileError {
+  // "open" when the file could not be opened (absent, unreadable);
+  // "read" or "close" when it opened but the read failed part-way.
+  std::string_view stage;
+  std::string message;  // "<stage> failed for <path>: <strerror>"
+};
+
+// The whole content of `path`, read into one buffer sized from fstat (no
+// intermediate copy, so peak memory is the file size). Files that report
+// no size, or grow while being read, are still read to their end.
+[[nodiscard]] Result<std::string, ReadFileError> ReadWholeFile(
+    const std::string& path);
 
 }  // namespace ipscope::io

@@ -1,11 +1,9 @@
 // ipscope::Result<T, E> — a minimal expected-style sum type.
 //
-// The non-throwing side of the io error taxonomy: functions that can fail
-// on bad input return Result<Value, io::StoreError> instead of throwing,
-// so callers that expect damaged data (salvage paths, the chaos harness)
-// can branch on the error without exception machinery, while the classic
-// throwing wrappers remain available for callers that treat corruption as
-// fatal. Deliberately tiny — no monadic combinators, just ok()/value()/
+// How the io layer reports failure on bad input: functions return
+// Result<Value, Error> (io::StoreError for stores, io::ReadFileError for
+// raw file reads) instead of throwing, so every caller branches on the
+// error without exception machinery. Deliberately tiny — no monadic combinators, just ok()/value()/
 // error() — because call sites here are all immediate branches.
 #pragma once
 

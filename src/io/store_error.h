@@ -3,9 +3,8 @@
 // Every way a store file can be unusable gets a kind plus the absolute
 // byte offset where the problem was detected, so a corrupted-file report
 // is actionable ("checksum mismatch at byte 18744" rather than "bad
-// input"). io::TryLoadStore returns these through ipscope::Result; the
-// throwing io::LoadStore wrapper converts them to std::runtime_error with
-// the same message.
+// input"). io::TryLoadStore returns these through ipscope::Result;
+// ToString() is the message callers print.
 #pragma once
 
 #include <cstdint>

@@ -45,8 +45,8 @@ T ParseInt(const char* bytes) {
   return value;
 }
 
-// The per-block record shared by both formats: key, non-empty day count,
-// then each non-empty day's index + bitmap.
+// One block record: key, non-empty day count, then each non-empty day's
+// index + bitmap (the payload both formats share).
 void AppendBlockRecord(std::string& buf, net::BlockKey key,
                        const activity::ActivityMatrix& m) {
   AppendInt<std::uint32_t>(buf, key);
@@ -126,49 +126,13 @@ struct LoadContext {
   }
 };
 
-// Validates and applies one decoded block record (both formats). Returns
-// std::nullopt on success, the error otherwise. `base` is the absolute
-// offset of the record's first byte, for error reporting.
-std::optional<StoreError> ApplyBlockRecord(LoadContext& ctx, const char* rec,
-                                           std::uint32_t days,
-                                           std::uint64_t prev_key, bool first,
-                                           std::uint64_t base) {
-  auto key = ParseInt<std::uint32_t>(rec);
-  auto nonzero = ParseInt<std::uint32_t>(rec + 4);
-  if (key >= (1u << 24)) {
-    return Malformed(base, "block key " + std::to_string(key) +
-                               " out of /24 keyspace");
-  }
-  if (!first && key <= prev_key) {
-    return Malformed(base, "block keys out of order (" +
-                               std::to_string(key) + " after " +
-                               std::to_string(prev_key) + ")");
-  }
-  activity::ActivityMatrix& m = ctx.store.GetOrCreate(key);
-  int prev_day = -1;
-  const char* p = rec + 8;
-  for (std::uint32_t i = 0; i < nonzero; ++i) {
-    std::uint64_t day_off = base + 8 + i * kDayRecordBytes;
-    auto day = ParseInt<std::uint16_t>(p);
-    if (day >= days || static_cast<int>(day) <= prev_day) {
-      return Malformed(day_off, "invalid day index " + std::to_string(day));
-    }
-    if (!ctx.store.DayCovered(day)) {
-      return Malformed(day_off, "activity recorded on uncovered day " +
-                                    std::to_string(day));
-    }
-    prev_day = day;
-    activity::DayBits& row = m.Row(day);
-    p += 2;
-    for (auto& word : row) {
-      word = ParseInt<std::uint64_t>(p);
-      p += 8;
-    }
-  }
-  return std::nullopt;
-}
-
-Result<LoadResult, StoreError> LoadV1(Reader& r, const LoadOptions& options) {
+// The one decoder for both magics (already consumed by TryLoadStore and
+// folded into r.stream_crc). IPSCOPE2 adds three checks around the shared
+// header and block loop: the coverage bitmap sealed by a header CRC, a
+// CRC per block record, and the footer. A bad header is never
+// salvageable: without trustworthy dimensions nothing can be decoded.
+Result<LoadResult, StoreError> Load(Reader& r, bool v2,
+                                    const LoadOptions& options) {
   std::uint32_t days = 0;
   if (!r.ReadInt(&days)) return Truncated(r, "day count");
   if (days == 0 || days > kMaxDays) {
@@ -184,88 +148,43 @@ Result<LoadResult, StoreError> LoadV1(Reader& r, const LoadOptions& options) {
 
   LoadContext ctx{activity::ActivityStore{static_cast<int>(days)},
                   LoadStats{}, options.salvage};
-  ctx.stats.format_version = 1;
+  ctx.stats.format_version = v2 ? 2 : 1;
   ctx.stats.blocks_expected = blocks;
-
-  std::uint64_t prev_key = 0;
-  bool first = true;
-  std::string rec;
-  for (std::uint64_t b = 0; b < blocks; ++b) {
-    std::uint64_t base = r.offset;
-    rec.resize(8);
-    if (!r.Read(rec.data(), 8)) return ctx.Fail(Truncated(r, "block header"));
-    auto nonzero = ParseInt<std::uint32_t>(rec.data() + 4);
-    if (nonzero > days) {
-      return ctx.Fail(Malformed(
-          base + 4, "day list length " + std::to_string(nonzero) +
-                        " exceeds day count " + std::to_string(days)));
+  if (v2) {
+    // The header carries its own CRC so that corrupted dimensions are
+    // caught before they can misdirect the rest of the parse.
+    std::string coverage((days + 7) / 8, '\0');
+    if (!r.Read(coverage.data(), coverage.size())) {
+      return Truncated(r, "coverage bitmap");
     }
-    rec.resize(8 + nonzero * kDayRecordBytes);
-    if (!r.Read(rec.data() + 8, rec.size() - 8)) {
-      return ctx.Fail(Truncated(r, "block payload"));
+    std::uint32_t header_crc_expected = r.stream_crc;  // magic..bitmap
+    std::uint32_t header_crc = 0;
+    if (!r.ReadInt(&header_crc)) return Truncated(r, "header checksum");
+    if (header_crc != header_crc_expected) {
+      return StoreError{StoreErrorKind::kChecksumMismatch, r.offset - 4,
+                        "header checksum mismatch"};
     }
-    if (auto err = ApplyBlockRecord(ctx, rec.data(), days, prev_key, first,
-                                    base)) {
-      return ctx.Fail(std::move(*err));
+    for (std::uint32_t d = 0; d < days; ++d) {
+      bool covered =
+          (static_cast<unsigned char>(coverage[d / 8]) >> (d % 8)) & 1;
+      if (!covered) ctx.store.SetDayCovered(static_cast<int>(d), false);
     }
-    prev_key = ParseInt<std::uint32_t>(rec.data());
-    first = false;
-    ++ctx.stats.blocks_loaded;
-  }
-  return ctx.Finish();
-}
-
-Result<LoadResult, StoreError> LoadV2(Reader& r, const LoadOptions& options) {
-  // Header (magic already consumed by the dispatcher, and already folded
-  // into r.stream_crc). The header carries its own CRC so that corrupted
-  // dimensions are caught before they can misdirect the rest of the parse;
-  // a bad header is never salvageable.
-  std::uint32_t days = 0;
-  if (!r.ReadInt(&days)) return Truncated(r, "day count");
-  if (days == 0 || days > kMaxDays) {
-    return Malformed(r.offset - 4,
-                     "implausible day count " + std::to_string(days));
-  }
-  std::uint64_t blocks = 0;
-  if (!r.ReadInt(&blocks)) return Truncated(r, "block count");
-  if (blocks > kMaxBlocks) {
-    return Malformed(r.offset - 8,
-                     "implausible block count " + std::to_string(blocks));
-  }
-  std::string coverage((days + 7) / 8, '\0');
-  if (!r.Read(coverage.data(), coverage.size())) {
-    return Truncated(r, "coverage bitmap");
-  }
-  std::uint32_t header_crc_expected = r.stream_crc;  // covers magic..bitmap
-  std::uint32_t header_crc = 0;
-  if (!r.ReadInt(&header_crc)) return Truncated(r, "header checksum");
-  if (header_crc != header_crc_expected) {
-    return StoreError{StoreErrorKind::kChecksumMismatch, r.offset - 4,
-                      "header checksum mismatch"};
   }
 
-  LoadContext ctx{activity::ActivityStore{static_cast<int>(days)},
-                  LoadStats{}, options.salvage};
-  ctx.stats.format_version = 2;
-  ctx.stats.blocks_expected = blocks;
-  for (std::uint32_t d = 0; d < days; ++d) {
-    bool covered = (static_cast<unsigned char>(coverage[d / 8]) >> (d % 8)) & 1;
-    if (!covered) ctx.store.SetDayCovered(static_cast<int>(d), false);
-  }
-
-  std::uint64_t prev_key = 0;
-  bool first = true;
+  std::uint32_t prev_key = 0;
   std::string rec;
   {
     // Sub-span: the block loop dominates load time; the header and footer
     // are a few dozen bytes each, so this is the phase worth attributing.
     obs::Span blocks_span{"io.store.load.blocks_seconds"};
     for (std::uint64_t b = 0; b < blocks; ++b) {
+      // `base` is the absolute offset of the record, for error reporting.
       std::uint64_t base = r.offset;
       rec.resize(8);
       if (!r.Read(rec.data(), 8)) {
         return ctx.Fail(Truncated(r, "block header"));
       }
+      auto key = ParseInt<std::uint32_t>(rec.data());
       auto nonzero = ParseInt<std::uint32_t>(rec.data() + 4);
       if (nonzero > days) {
         return ctx.Fail(Malformed(
@@ -276,24 +195,53 @@ Result<LoadResult, StoreError> LoadV2(Reader& r, const LoadOptions& options) {
       if (!r.Read(rec.data() + 8, rec.size() - 8)) {
         return ctx.Fail(Truncated(r, "block payload"));
       }
-      std::uint32_t block_crc = 0;
-      if (!r.ReadInt(&block_crc)) {
-        return ctx.Fail(Truncated(r, "block checksum"));
+      if (v2) {
+        std::uint32_t block_crc = 0;
+        if (!r.ReadInt(&block_crc)) {
+          return ctx.Fail(Truncated(r, "block checksum"));
+        }
+        if (block_crc != Crc32c(rec.data(), rec.size())) {
+          return ctx.Fail(StoreError{
+              StoreErrorKind::kChecksumMismatch, base,
+              "block " + std::to_string(b) + " checksum mismatch"});
+        }
       }
-      if (block_crc != Crc32c(rec.data(), rec.size())) {
-        return ctx.Fail(StoreError{
-            StoreErrorKind::kChecksumMismatch, base,
-            "block " + std::to_string(b) + " checksum mismatch"});
+      if (key >= (1u << 24)) {
+        return ctx.Fail(Malformed(base, "block key " + std::to_string(key) +
+                                            " out of /24 keyspace"));
       }
-      if (auto err = ApplyBlockRecord(ctx, rec.data(), days, prev_key, first,
-                                      base)) {
-        return ctx.Fail(std::move(*err));
+      if (b > 0 && key <= prev_key) {
+        return ctx.Fail(Malformed(
+            base, "block keys out of order (" + std::to_string(key) +
+                      " after " + std::to_string(prev_key) + ")"));
       }
-      prev_key = ParseInt<std::uint32_t>(rec.data());
-      first = false;
+      prev_key = key;
+      activity::ActivityMatrix& m = ctx.store.GetOrCreate(key);
+      int prev_day = -1;
+      const char* p = rec.data() + 8;
+      for (std::uint32_t i = 0; i < nonzero; ++i) {
+        std::uint64_t day_off = base + 8 + i * kDayRecordBytes;
+        auto day = ParseInt<std::uint16_t>(p);
+        if (day >= days || static_cast<int>(day) <= prev_day) {
+          return ctx.Fail(
+              Malformed(day_off, "invalid day index " + std::to_string(day)));
+        }
+        if (!ctx.store.DayCovered(day)) {
+          return ctx.Fail(Malformed(day_off,
+                                    "activity recorded on uncovered day " +
+                                        std::to_string(day)));
+        }
+        prev_day = day;
+        p += 2;
+        for (auto& word : m.Row(day)) {
+          word = ParseInt<std::uint64_t>(p);
+          p += 8;
+        }
+      }
       ++ctx.stats.blocks_loaded;
     }
   }
+  if (!v2) return ctx.Finish();
 
   // Footer: magic + block-count echo, then the whole-stream CRC over every
   // preceding byte. A failure here with salvage on keeps the blocks — each
@@ -324,10 +272,8 @@ Result<LoadResult, StoreError> LoadV2(Reader& r, const LoadOptions& options) {
 
 }  // namespace
 
-void SaveStore(const activity::ActivityStore& store, std::ostream& os,
-               StoreFormat format) {
+void SaveStore(const activity::ActivityStore& store, std::ostream& os) {
   obs::Span span{"io.store.save_seconds"};
-  const bool v2 = format == StoreFormat::kV2;
   std::uint64_t bytes_written = 0;
   std::uint32_t stream_crc = kCrc32cInit;
   auto emit = [&](const std::string& buf) {
@@ -339,21 +285,19 @@ void SaveStore(const activity::ActivityStore& store, std::ostream& os,
   {
     obs::Span header_span{"io.store.save.header_seconds"};
     std::string buf;
-    buf.append(v2 ? kMagicV2 : kMagicV1, 8);
+    buf.append(kMagicV2, 8);
     AppendInt<std::uint32_t>(buf, static_cast<std::uint32_t>(store.days()));
     AppendInt<std::uint64_t>(buf, store.BlockCount());
-    if (v2) {
-      std::string coverage((static_cast<std::size_t>(store.days()) + 7) / 8,
-                           '\0');
-      for (int d = 0; d < store.days(); ++d) {
-        if (store.DayCovered(d)) {
-          coverage[static_cast<std::size_t>(d / 8)] |=
-              static_cast<char>(1 << (d % 8));
-        }
+    std::string coverage((static_cast<std::size_t>(store.days()) + 7) / 8,
+                         '\0');
+    for (int d = 0; d < store.days(); ++d) {
+      if (store.DayCovered(d)) {
+        coverage[static_cast<std::size_t>(d / 8)] |=
+            static_cast<char>(1 << (d % 8));
       }
-      buf += coverage;
-      AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
     }
+    buf += coverage;
+    AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
     emit(buf);
   }
 
@@ -363,12 +307,12 @@ void SaveStore(const activity::ActivityStore& store, std::ostream& os,
     store.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
       buf.clear();
       AppendBlockRecord(buf, key, m);
-      if (v2) AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
+      AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
       emit(buf);
     });
   }
 
-  if (v2) {
+  {
     obs::Span footer_span{"io.store.save.footer_seconds"};
     std::string buf;
     buf.append(kFooterMagic, sizeof(kFooterMagic));
@@ -401,13 +345,13 @@ Result<LoadResult, StoreError> TryLoadStore(std::istream& is,
   if (!r.Read(magic, sizeof(magic))) {
     return Truncated(r, "magic");
   }
+  const bool v1 = std::memcmp(magic, kMagicV1, sizeof(magic)) == 0;
+  const bool v2 = std::memcmp(magic, kMagicV2, sizeof(magic)) == 0;
   Result<LoadResult, StoreError> result =
-      std::memcmp(magic, kMagicV1, sizeof(magic)) == 0 ? LoadV1(r, options)
-      : std::memcmp(magic, kMagicV2, sizeof(magic)) == 0
-          ? LoadV2(r, options)
-          : Result<LoadResult, StoreError>{StoreError{
-                StoreErrorKind::kBadMagic, 0,
-                "bad magic (not a store file?)"}};
+      v1 || v2 ? Load(r, v2, options)
+               : Result<LoadResult, StoreError>{StoreError{
+                     StoreErrorKind::kBadMagic, 0,
+                     "bad magic (not a store file?)"}};
 
   double seconds = std::max(span.Stop(), 1e-9);
   auto& registry = obs::GlobalRegistry();
@@ -430,21 +374,19 @@ Result<LoadResult, StoreError> TryLoadStore(std::istream& is,
   return result;
 }
 
-activity::ActivityStore LoadStore(std::istream& is) {
-  auto result = TryLoadStore(is);
-  if (!result.ok()) throw std::runtime_error(result.error().ToString());
-  return std::move(result).value().store;
+std::string StoreBytes(const activity::ActivityStore& store) {
+  std::ostringstream os{std::ios::binary};
+  SaveStore(store, os);
+  return std::move(os).str();
 }
 
 void SaveStoreFile(const activity::ActivityStore& store,
-                   const std::string& path, StoreFormat format) {
+                   const std::string& path) {
   // Serialize in memory, then commit through the atomic temp+rename path:
   // a killed or failing process never leaves a truncated store under the
   // final name, and flush/fsync/close results are all checked (an ENOSPC
   // that only surfaces at close used to be reported as success here).
-  std::ostringstream buffer{std::ios::binary};
-  SaveStore(store, buffer, format);
-  if (auto error = WriteFileAtomic(path, buffer.view())) {
+  if (auto error = WriteFileAtomic(path, StoreBytes(store))) {
     obs::GlobalRegistry().GetCounter("io.store.save_errors").Add(1);
     throw std::runtime_error(
         StoreError{StoreErrorKind::kWriteFailed, 0, *error}.ToString());
@@ -461,12 +403,6 @@ Result<LoadResult, StoreError> TryLoadStoreFile(const std::string& path,
                           std::strerror(err) + ")"};
   }
   return TryLoadStore(is, options);
-}
-
-activity::ActivityStore LoadStoreFile(const std::string& path) {
-  auto result = TryLoadStoreFile(path);
-  if (!result.ok()) throw std::runtime_error(result.error().ToString());
-  return std::move(result).value().store;
 }
 
 }  // namespace ipscope::io

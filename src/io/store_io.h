@@ -4,9 +4,11 @@
 // to a compact stream and reloaded later, so expensive worlds need to be
 // generated once and analyses can run out-of-process (see tools/ipscope_cli).
 //
-// Two on-disk formats, both little-endian:
+// One writer, one reader. The writer emits IPSCOPE2; the reader accepts
+// IPSCOPE2 and the legacy IPSCOPE1, both little-endian:
 //
-// IPSCOPE1 (legacy, still readable; written with StoreFormat::kV1):
+// IPSCOPE1 (legacy, read-only; pinned by hand-built bytes in
+// tests/io_fault_test.cc):
 //   8 bytes  magic "IPSCOPE1"
 //   u32      days (steps) per matrix
 //   u64      block count
@@ -15,8 +17,9 @@
 //     u32    number of non-empty days
 //     then per non-empty day: u16 day index + 4 x u64 bitmap words
 //
-// IPSCOPE2 (default): the same block payloads, hardened for corruption
-// detection and partial recovery, and carrying the per-day coverage mask:
+// IPSCOPE2 (what SaveStore writes): the same block payloads, hardened for
+// corruption detection and partial recovery, and carrying the per-day
+// coverage mask:
 //   8 bytes  magic "IPSCOPE2"
 //   u32      days
 //   u64      block count
@@ -35,12 +38,11 @@
 // TryLoadStore with salvage=true recovers all intact blocks up to the
 // first truncated/corrupt record instead of failing outright.
 //
-// Error handling comes in two flavors:
-//   * TryLoadStore returns ipscope::Result<LoadResult, StoreError> — a
-//     typed error with kind + absolute byte offset, never throws on bad
-//     input.
-//   * LoadStore/LoadStoreFile keep the classic throwing API
-//     (std::runtime_error whose message includes the kind and offset).
+// Loads never throw on bad input: TryLoadStore and TryLoadStoreFile return
+// ipscope::Result<LoadResult, StoreError>, a typed error with kind and
+// absolute byte offset whose ToString() is the operator-facing message.
+// Saves throw std::runtime_error carrying a kWriteFailed StoreError
+// message.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +55,6 @@
 #include "io/store_error.h"
 
 namespace ipscope::io {
-
-enum class StoreFormat {
-  kV1,  // legacy "IPSCOPE1": no checksums, no coverage mask
-  kV2,  // "IPSCOPE2": checksummed, carries the coverage mask (default)
-};
 
 struct LoadOptions {
   // When true, a truncated or corrupt block stops the load but the intact
@@ -83,28 +80,23 @@ struct LoadResult {
   LoadStats stats;
 };
 
-// Serializes `store`. StoreFormat::kV1 writes the legacy byte stream
-// exactly as the original writer did (the coverage mask is dropped — the
-// format cannot carry it); kV2 is the default for all new data.
-void SaveStore(const activity::ActivityStore& store, std::ostream& os,
-               StoreFormat format = StoreFormat::kV2);
+// Serializes `store` as IPSCOPE2.
+void SaveStore(const activity::ActivityStore& store, std::ostream& os);
 
-// Non-throwing load; dispatches on the magic, accepting both formats.
+// SaveStore into a string: the exact bytes a store file would hold.
+std::string StoreBytes(const activity::ActivityStore& store);
+
+// Strict or salvaging load; dispatches on the magic, accepting both
+// formats.
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStore(
     std::istream& is, const LoadOptions& options = {});
 
-// Throwing load (strict: salvage disabled). The runtime_error message is
-// StoreError::ToString(), i.e. includes kind and absolute byte offset.
-activity::ActivityStore LoadStore(std::istream& is);
-
-// File-path conveniences (binary mode). Open failures report
-// errno/strerror detail; the Try variant returns them as
-// StoreErrorKind::kOpenFailed.
+// File-path conveniences (binary mode). SaveStoreFile commits through
+// WriteFileAtomic. Open failures come back as StoreErrorKind::kOpenFailed
+// with errno/strerror detail.
 void SaveStoreFile(const activity::ActivityStore& store,
-                   const std::string& path,
-                   StoreFormat format = StoreFormat::kV2);
+                   const std::string& path);
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStoreFile(
     const std::string& path, const LoadOptions& options = {});
-activity::ActivityStore LoadStoreFile(const std::string& path);
 
 }  // namespace ipscope::io

@@ -2,12 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
+#include "io/atomic_file.h"
 #include "obs/json.h"
 
 namespace ipscope::obs::benchdiff {
@@ -126,17 +125,15 @@ Report ParseReport(std::string_view text) {
 }
 
 Report LoadReportFile(const std::string& path) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) {
-    throw std::runtime_error("benchdiff: cannot open report: " + path);
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (!is.good() && !is.eof()) {
-    throw std::runtime_error("benchdiff: read failed: " + path);
+  auto text = io::ReadWholeFile(path);
+  if (!text.ok()) {
+    throw std::runtime_error(
+        (text.error().stage == "open" ? "benchdiff: cannot open report: "
+                                      : "benchdiff: read failed: ") +
+        path);
   }
   try {
-    return ParseReport(buf.str());
+    return ParseReport(text.value());
   } catch (const std::exception& e) {
     throw std::runtime_error(std::string(e.what()) + " [" + path + "]");
   }

@@ -1,6 +1,7 @@
 #include "obs/json.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
@@ -168,12 +169,36 @@ class Parser {
     return result;
   }
 
+  // Scans RFC 8259's number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?
+  // ([eE][+-]?[0-9]+)?, before converting: from_chars alone would also
+  // take "inf", "-nan", "1." and "01". Overflow to infinity is rejected
+  // too, so a parsed number is always finite. Errors point at the
+  // number's first byte.
   Value ParseNumber() {
+    const std::size_t start = pos_;
+    auto digits = [&] {
+      const std::size_t from = pos_;
+      while (!Eof() && Peek() >= '0' && Peek() <= '9') ++pos_;
+      return pos_ > from;
+    };
+    auto fail = [&] {
+      pos_ = start;
+      Fail("invalid number");
+    };
+    TryConsume('-');
+    if (!TryConsume('0') && !digits()) fail();
+    if (TryConsume('.') && !digits()) fail();
+    if (TryConsume('e') || TryConsume('E')) {
+      if (!TryConsume('+')) TryConsume('-');
+      if (!digits()) fail();
+    }
     double number = 0;
     auto [ptr, ec] =
-        std::from_chars(s_.data() + pos_, s_.data() + s_.size(), number);
-    if (ec != std::errc{} || ptr == s_.data() + pos_) Fail("invalid number");
-    pos_ = static_cast<std::size_t>(ptr - s_.data());
+        std::from_chars(s_.data() + start, s_.data() + pos_, number);
+    if (ec != std::errc{} || ptr != s_.data() + pos_ ||
+        !std::isfinite(number)) {
+      fail();
+    }
     return Value::Number(number);
   }
 

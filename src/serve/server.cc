@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -68,14 +69,17 @@ std::int64_t IntField(const json::Value& req, const std::string& key,
   if (!v->is_number()) {
     FailRequest("bad-request", "field \"" + key + "\" must be a number");
   }
+  // Check the range on the double before converting: casting a value
+  // beyond int64 (1e300) or a non-finite one is undefined behaviour. Every
+  // bound here is far below 2^53, so lo and hi convert exactly.
   double d = v->AsNumber();
-  auto n = static_cast<std::int64_t>(d);
-  if (static_cast<double>(n) != d || n < lo || n > hi) {
+  if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) ||
+      d != std::floor(d)) {
     FailRequest("bad-request", "field \"" + key + "\" out of range [" +
                                    std::to_string(lo) + ", " +
                                    std::to_string(hi) + "]");
   }
-  return n;
+  return static_cast<std::int64_t>(d);
 }
 
 std::string StringField(const json::Value& req, const std::string& key) {

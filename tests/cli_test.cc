@@ -4,9 +4,12 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "netbase/ipv4.h"
 
@@ -83,6 +86,66 @@ TEST(Cli, SummaryMissingFileFails) {
   EXPECT_NE(err.str().find("error"), std::string::npos);
 }
 
+// Every command that reads a store file, with the extra flags it checks
+// before loading — so each one reaches the load.
+std::vector<std::vector<std::string>> StoreReadingCommands(
+    const std::string& path) {
+  std::string outdir = ::testing::TempDir();
+  return {{"summary", path},
+          {"churn", path},
+          {"blocks", path},
+          {"render", path, "--block", "10.0.0.0/24"},
+          {"events", path},
+          {"export", path, "--outdir", outdir},
+          {"hitlist", path},
+          {"serve", path}};
+}
+
+TEST(Cli, MissingStoreFilePrintsTypedErrorAndExitsOne) {
+  const std::string path = "/no/such/dir/store.ipscope";
+  for (const auto& args : StoreReadingCommands(path)) {
+    std::ostringstream out, err;
+    EXPECT_EQ(Main(args, out, err), 1) << args[0];
+    EXPECT_EQ(err.str(),
+              "error: ipscope store: cannot open for reading: " + path +
+                  " (No such file or directory) [open-failed at byte 0]\n")
+        << args[0];
+  }
+}
+
+TEST(Cli, TruncatedStoreFilePrintsTypedErrorAndExitsOne) {
+  std::ifstream in{DatasetPath(), std::ios::binary};
+  std::string bytes{std::istreambuf_iterator<char>(in), {}};
+  ASSERT_GT(bytes.size(), 1000u);
+  const std::string path = ::testing::TempDir() + "/ipscope_cli_cut." +
+                           std::to_string(getpid()) + ".bin";
+  std::ofstream{path, std::ios::binary} << bytes.substr(0, 1000);
+  const std::string prefix =
+      "error: ipscope store: truncated input while reading ";
+  const std::string suffix = " [truncated at byte 1000]\n";
+  for (const auto& args : StoreReadingCommands(path)) {
+    std::ostringstream out, err;
+    EXPECT_EQ(Main(args, out, err), 1) << args[0];
+    const std::string text = err.str();
+    EXPECT_EQ(text.rfind(prefix, 0), 0u) << text;
+    ASSERT_GE(text.size(), suffix.size()) << text;
+    EXPECT_EQ(text.substr(text.size() - suffix.size()), suffix) << text;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Cli, StoreReadingCommandsRequireAPath) {
+  for (const char* command : {"summary", "churn", "blocks", "render", "events",
+                              "export", "hitlist"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(Main({command}, out, err), 2) << command;
+    EXPECT_EQ(err.str(), std::string(command) + ": dataset path required\n");
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(Main({"serve"}, out, err), 2);
+  EXPECT_EQ(err.str(), "serve: dataset path or --session DIR required\n");
+}
+
 TEST(Cli, ChurnTable) {
   std::ostringstream out, err;
   EXPECT_EQ(Main({"churn", DatasetPath(), "--window", "28"}, out, err), 0)
@@ -94,6 +157,21 @@ TEST(Cli, ChurnTable) {
 TEST(Cli, ChurnWindowTooLarge) {
   std::ostringstream out, err;
   EXPECT_EQ(Main({"churn", DatasetPath(), "--window", "100"}, out, err), 2);
+}
+
+TEST(Cli, WindowBelowOneIsAFlagError) {
+  // A zero window used to divide by zero (SIGFPE) in churn and events; a
+  // negative one printed a misleading "window too large" message.
+  for (const char* command : {"churn", "events"}) {
+    for (const char* window : {"0", "-1"}) {
+      std::ostringstream out, err;
+      EXPECT_EQ(Main({command, DatasetPath(), "--window", window}, out, err),
+                2)
+          << command << " --window " << window;
+      EXPECT_EQ(err.str(), std::string("error: --window must be >= 1, got ") +
+                               window + "\n");
+    }
+  }
 }
 
 TEST(Cli, BlocksTopList) {

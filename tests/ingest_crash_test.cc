@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "fault/crash.h"
@@ -45,25 +44,6 @@ activity::ActivityStore BuildStore(int days, std::uint64_t salt) {
   return store;
 }
 
-activity::ActivityStore SliceDays(const activity::ActivityStore& full,
-                                  int first, int last) {
-  activity::ActivityStore delta{full.days()};
-  for (int d = 0; d < full.days(); ++d) {
-    if (d < first || d > last) delta.SetDayCovered(d, false);
-  }
-  full.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
-    activity::ActivityMatrix& dst = delta.GetOrCreate(key);
-    for (int d = first; d <= last; ++d) dst.Row(d) = m.Row(d);
-  });
-  return delta;
-}
-
-std::string StoreBytes(const activity::ActivityStore& store) {
-  std::ostringstream os{std::ios::binary};
-  io::SaveStore(store, os);
-  return std::move(os).str();
-}
-
 std::string FreshDir(const std::string& tag) {
   std::string dir = ::testing::TempDir() + "ipscope_ingest_" + tag + "_" +
                     std::to_string(::getpid());
@@ -75,8 +55,8 @@ TEST(IngestCrash, SweepEveryPointRecoversCommittedPrefix) {
   auto full = BuildStore(kDays, 1);
   auto delta0 = SliceDays(full, 0, kDays / 2 - 1);
   auto delta1 = SliceDays(full, kDays / 2, kDays - 1);
-  const std::string full_bytes = StoreBytes(full);
-  const std::string prefix_bytes = StoreBytes(delta0);
+  const std::string full_bytes = io::StoreBytes(full);
+  const std::string prefix_bytes = io::StoreBytes(delta0);
 
   int pool_threads = par::GlobalPool().threads();
   par::GlobalPool().Resize(1);  // fork safety: no worker threads alive
@@ -115,7 +95,7 @@ TEST(IngestCrash, SweepEveryPointRecoversCommittedPrefix) {
       EXPECT_EQ(after.manifest().HasDelta("delta1"), expect_delta1);
       auto loaded = after.Load();
       ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
-      EXPECT_EQ(StoreBytes(loaded.value()),
+      EXPECT_EQ(io::StoreBytes(loaded.value()),
                 expect_delta1 ? full_bytes : prefix_bytes);
 
       // Crash-and-retry: replaying both deltas converges on the full
@@ -128,7 +108,7 @@ TEST(IngestCrash, SweepEveryPointRecoversCommittedPrefix) {
       EXPECT_EQ(r1.value().applied, !expect_delta1);
       auto final_load = after.Load();
       ASSERT_TRUE(final_load.ok());
-      EXPECT_EQ(StoreBytes(final_load.value()), full_bytes);
+      EXPECT_EQ(io::StoreBytes(final_load.value()), full_bytes);
       fs::remove_all(dir);
     }
   }
@@ -146,7 +126,7 @@ TEST(IngestCrash, ReplayingTheSameDeltaChangesNothing) {
   auto first = session.Append(delta, "day-0-3");
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first.value().applied);
-  const std::string after_first = StoreBytes(session.Load().value());
+  const std::string after_first = io::StoreBytes(session.Load().value());
   const auto manifest_after_first = session.manifest().Serialize();
 
   auto second = session.Append(delta, "day-0-3");
@@ -154,7 +134,7 @@ TEST(IngestCrash, ReplayingTheSameDeltaChangesNothing) {
   EXPECT_FALSE(second.value().applied);
   EXPECT_EQ(second.value().shard_file, first.value().shard_file);
   EXPECT_EQ(session.manifest().Serialize(), manifest_after_first);
-  EXPECT_EQ(StoreBytes(session.Load().value()), after_first);
+  EXPECT_EQ(io::StoreBytes(session.Load().value()), after_first);
 
   // The on-disk manifest is unchanged too, not just the in-memory copy.
   auto reopened = Session::Open(dir, kDays);
@@ -176,7 +156,7 @@ TEST(IngestCrash, DeltaIngestMatchesBatchBuildBitExactly) {
 
   auto loaded = session.Load();
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(StoreBytes(loaded.value()), StoreBytes(full));
+  EXPECT_EQ(io::StoreBytes(loaded.value()), io::StoreBytes(full));
   fs::remove_all(dir);
 }
 
@@ -191,13 +171,9 @@ TEST(IngestCrash, TamperedManifestIsAChecksumError) {
   // Flip one byte that keeps the line grammatical — the delta id 'd'
   // becomes 'e' — so only the commit CRC can catch the tamper.
   fs::path manifest_path = fs::path(dir) / "MANIFEST";
-  std::string text;
-  {
-    std::ifstream is{manifest_path, std::ios::binary};
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    text = std::move(buf).str();
-  }
+  auto read = io::ReadWholeFile(manifest_path.string());
+  ASSERT_TRUE(read.ok()) << read.error().message;
+  std::string text = std::move(read).value();
   std::size_t at = text.find(" d ");
   ASSERT_NE(at, std::string::npos);
   text[at + 1] = 'e';
@@ -256,7 +232,7 @@ TEST(IngestCrash, TornTempAndOrphanShardAreQuarantined) {
   // The committed shard still loads; the junk never reaches the store.
   auto loaded = reopened.value().Load();
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(StoreBytes(loaded.value()), StoreBytes(delta));
+  EXPECT_EQ(io::StoreBytes(loaded.value()), io::StoreBytes(delta));
   fs::remove_all(dir);
 }
 
@@ -274,11 +250,9 @@ TEST(IngestCrash, SkipRollbackEnvFlagAdoptsOrphans) {
     ASSERT_TRUE(opened.value().Append(delta0, "delta0").ok());
   }
   // Plant delta1 as an orphan: a valid shard file the manifest omits.
-  std::ostringstream os{std::ios::binary};
-  io::SaveStore(delta1, os);
   ASSERT_EQ(io::WriteFileAtomic(
                 (fs::path(dir) / "shard-006-011-orphan.ips2").string(),
-                os.view()),
+                io::StoreBytes(delta1)),
             std::nullopt);
 
   ::setenv("IPSCOPE_INGEST_SKIP_ROLLBACK", "1", 1);
@@ -290,7 +264,7 @@ TEST(IngestCrash, SkipRollbackEnvFlagAdoptsOrphans) {
   // The adopted orphan makes the load diverge from the committed prefix.
   auto loaded = buggy.value().Load();
   ASSERT_TRUE(loaded.ok());
-  EXPECT_NE(StoreBytes(loaded.value()), StoreBytes(delta0));
+  EXPECT_NE(io::StoreBytes(loaded.value()), io::StoreBytes(delta0));
   fs::remove_all(dir);
 }
 

@@ -1,6 +1,7 @@
 // Tests for io::WriteFileAtomic, the temp+fsync+rename primitive under
 // every durable output path (store saves, metrics/trace dumps, bench
-// reports, ingest shards and manifests).
+// reports, ingest shards and manifests), and for io::ReadWholeFile, the
+// checked reader on the way back in.
 #include "io/atomic_file.h"
 
 #include <gtest/gtest.h>
@@ -107,6 +108,51 @@ TEST(AtomicFile, MetricsAndTraceDumpsAreAtomic) {
   EXPECT_THROW(
       obs::GlobalRegistry().WriteJsonFile("/nonexistent-dir-ipscope/m.json"),
       std::runtime_error);
+}
+
+TEST(ReadWholeFile, ReturnsExactBytesIncludingNulsAndLargeFiles) {
+  std::string path = TempPath("read");
+  for (std::size_t size : {std::size_t{0}, std::size_t{1},
+                           std::size_t{4096}, std::size_t{3} << 20}) {
+    std::string content(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) {
+      content[i] = static_cast<char>((i * 131) & 0xFF);
+    }
+    ASSERT_EQ(WriteFileAtomic(path, content), std::nullopt);
+    auto read = ReadWholeFile(path);
+    ASSERT_TRUE(read.ok()) << read.error().message;
+    EXPECT_EQ(read.value(), content) << size;
+  }
+  fs::remove(path);
+}
+
+TEST(ReadWholeFile, MissingFileIsAnOpenFailureWithErrnoDetail) {
+  auto read = ReadWholeFile("/nonexistent-dir-ipscope/f.bin");
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.error().stage, "open");
+  EXPECT_EQ(read.error().message,
+            "open failed for /nonexistent-dir-ipscope/f.bin: No such file "
+            "or directory");
+}
+
+TEST(ReadWholeFile, FailedReadIsAnErrorNotAShortSuccess) {
+  // A directory opens read-only but every read(2) fails with EISDIR: the
+  // reader must report it rather than return an empty "file".
+  std::string dir = TempPath("read_dir");
+  fs::create_directories(dir);
+  auto read = ReadWholeFile(dir);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.error().stage, "read");
+  EXPECT_NE(read.error().message.find("Is a directory"), std::string::npos)
+      << read.error().message;
+  fs::remove(dir);
+}
+
+TEST(ReadWholeFile, ReadsFilesWithNoSizeToTheirEnd) {
+  // procfs reports size 0 for files that do have content.
+  auto read = ReadWholeFile("/proc/self/status");
+  ASSERT_TRUE(read.ok()) << read.error().message;
+  EXPECT_NE(read.value().find("Name:"), std::string::npos);
 }
 
 }  // namespace

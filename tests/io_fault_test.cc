@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include "io/crc32c.h"
 #include "io/store_io.h"
 #include "rng/rng.h"
+#include "store_v1_encoder.h"
 
 namespace ipscope::io {
 namespace {
@@ -37,7 +39,7 @@ activity::ActivityStore SweepStore() {
 
 std::string SerializeV2(const activity::ActivityStore& store) {
   std::stringstream buffer;
-  SaveStore(store, buffer, StoreFormat::kV2);
+  SaveStore(store, buffer);
   return buffer.str();
 }
 
@@ -193,8 +195,7 @@ TEST(IoFault, FlipSweepSalvageNeverCrashesAndKeepsIntactBlocksOnly) {
 
 TEST(IoFault, V1RoundTripStillWorks) {
   auto store = SweepStore();
-  std::stringstream buffer;
-  SaveStore(store, buffer, StoreFormat::kV1);
+  std::stringstream buffer{test_bytes::EncodeV1(store)};
   auto result = TryLoadStore(buffer);
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   const auto& loaded = result.value();
@@ -207,27 +208,87 @@ TEST(IoFault, V1RoundTripStillWorks) {
 
 TEST(IoFault, V1ByteLayoutIsFrozen) {
   // Byte-exact pin of the legacy format so old stores stay loadable
-  // forever: one block (key 100), day 2, host 7.
-  activity::ActivityStore store{5};
-  store.GetOrCreate(100).Set(2, 7);
-  std::stringstream buffer;
-  SaveStore(store, buffer, StoreFormat::kV1);
+  // forever: one block (key 100), day 2, host 7, spelled out by hand.
+  std::string bytes = "IPSCOPE1";
+  test_bytes::PutLE(bytes, 5, 4);        // days
+  test_bytes::PutLE(bytes, 1, 8);        // block count
+  test_bytes::PutLE(bytes, 100, 4);      // key
+  test_bytes::PutLE(bytes, 1, 4);        // non-empty days
+  test_bytes::PutLE(bytes, 2, 2);        // day index
+  test_bytes::PutLE(bytes, 1u << 7, 8);  // bitmap word 0: host 7
+  test_bytes::PutLE(bytes, 0, 8);
+  test_bytes::PutLE(bytes, 0, 8);
+  test_bytes::PutLE(bytes, 0, 8);
 
-  std::string expected = "IPSCOPE1";
-  auto put = [&](std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      expected.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  };
-  put(5, 4);        // days
-  put(1, 8);        // block count
-  put(100, 4);      // key
-  put(1, 4);        // non-empty days
-  put(2, 2);        // day index
-  put(1u << 7, 8);  // bitmap word 0: host 7
-  put(0, 8);
-  put(0, 8);
-  put(0, 8);
+  activity::ActivityStore expected{5};
+  expected.GetOrCreate(100).Set(2, 7);
+  // The test-local reference encoder must agree with the hand-built bytes,
+  // so every other v1 test decodes the frozen layout too.
+  EXPECT_EQ(test_bytes::EncodeV1(expected), bytes);
+
+  std::stringstream is{bytes};
+  auto result = TryLoadStore(is);
+  ASSERT_TRUE(result.ok()) << result.error().ToString();
+  EXPECT_EQ(result.value().stats.format_version, 1);
+  EXPECT_EQ(result.value().stats.blocks_loaded, 1u);
+  EXPECT_EQ(result.value().store.days(), 5);
+  ExpectIntactPrefix(expected, result.value().store, 1);
+}
+
+TEST(IoFault, V2ByteLayoutIsFrozen) {
+  // Byte-exact pin of the IPSCOPE2 writer: two blocks, day 4 uncovered.
+  // The checksums are computed here over the hand-built regions the
+  // format spec says they cover, and the stream checksum is also pinned
+  // as a literal so a change to the CRC itself cannot go unnoticed.
+  activity::ActivityStore store{5};
+  store.SetDayCovered(4, false);
+  store.GetOrCreate(100).Set(2, 7);
+  activity::ActivityMatrix& m = store.GetOrCreate(4242);
+  m.Set(0, 255);
+  m.Set(3, 64);
+  std::stringstream buffer;
+  SaveStore(store, buffer);
+
+  using test_bytes::PutLE;
+  std::string expected = "IPSCOPE2";
+  PutLE(expected, 5, 4);     // days
+  PutLE(expected, 2, 8);     // block count
+  PutLE(expected, 0x0F, 1);  // coverage bitmap: days 0-3 covered
+  PutLE(expected, Crc32c(expected.data(), expected.size()), 4);
+
+  std::string block;
+  PutLE(block, 100, 4);      // key
+  PutLE(block, 1, 4);        // non-empty days
+  PutLE(block, 2, 2);        // day 2
+  PutLE(block, 1u << 7, 8);  // host 7
+  PutLE(block, 0, 8);
+  PutLE(block, 0, 8);
+  PutLE(block, 0, 8);
+  expected += block;
+  PutLE(expected, Crc32c(block.data(), block.size()), 4);
+
+  block.clear();
+  PutLE(block, 4242, 4);  // key
+  PutLE(block, 2, 4);     // non-empty days
+  PutLE(block, 0, 2);     // day 0: host 255 is bit 63 of word 3
+  PutLE(block, 0, 8);
+  PutLE(block, 0, 8);
+  PutLE(block, 0, 8);
+  PutLE(block, std::uint64_t{1} << 63, 8);
+  PutLE(block, 3, 2);  // day 3: host 64 is bit 0 of word 1
+  PutLE(block, 0, 8);
+  PutLE(block, 1, 8);
+  PutLE(block, 0, 8);
+  PutLE(block, 0, 8);
+  expected += block;
+  PutLE(expected, Crc32c(block.data(), block.size()), 4);
+
+  expected += "END2";
+  PutLE(expected, 2, 8);  // block count echo
+  PutLE(expected, Crc32c(expected.data(), expected.size()), 4);
+
+  ASSERT_EQ(expected.size(), 167u);
+  EXPECT_EQ(expected.substr(163), std::string("\x6a\xf7\x0b\x3d", 4));
   EXPECT_EQ(buffer.str(), expected);
 }
 

@@ -9,6 +9,7 @@
 #include "cdn/observatory.h"
 #include "rng/rng.h"
 #include "sim/world.h"
+#include "store_v1_encoder.h"
 
 namespace ipscope::io {
 namespace {
@@ -47,11 +48,20 @@ bool StoresEqual(const activity::ActivityStore& a,
   return equal;
 }
 
+// Strict load that must succeed; the failure message carries the typed
+// error so a regression names its kind and byte offset.
+activity::ActivityStore LoadOk(std::istream& is) {
+  auto result = TryLoadStore(is);
+  EXPECT_TRUE(result.ok()) << result.error().ToString();
+  if (!result.ok()) return activity::ActivityStore{1};
+  return std::move(result).value().store;
+}
+
 TEST(StoreIo, RoundTripRandomStore) {
   auto store = RandomStore(42, 30, 50);
   std::stringstream buffer;
   SaveStore(store, buffer);
-  auto loaded = LoadStore(buffer);
+  auto loaded = LoadOk(buffer);
   EXPECT_TRUE(StoresEqual(store, loaded));
 }
 
@@ -59,7 +69,7 @@ TEST(StoreIo, RoundTripEmptyStore) {
   activity::ActivityStore store{7};
   std::stringstream buffer;
   SaveStore(store, buffer);
-  auto loaded = LoadStore(buffer);
+  auto loaded = LoadOk(buffer);
   EXPECT_EQ(loaded.days(), 7);
   EXPECT_EQ(loaded.BlockCount(), 0u);
 }
@@ -71,7 +81,7 @@ TEST(StoreIo, RoundTripObservatoryDataset) {
   auto store = cdn::Observatory::Daily(world).BuildStore();
   std::stringstream buffer;
   SaveStore(store, buffer);
-  auto loaded = LoadStore(buffer);
+  auto loaded = LoadOk(buffer);
   EXPECT_TRUE(StoresEqual(store, loaded));
   EXPECT_EQ(store.CountActive(0, store.days()),
             loaded.CountActive(0, loaded.days()));
@@ -79,7 +89,10 @@ TEST(StoreIo, RoundTripObservatoryDataset) {
 
 TEST(StoreIo, RejectsBadMagic) {
   std::stringstream buffer{"NOTASTORExxxxxxxxxxxxxxxx"};
-  EXPECT_THROW(LoadStore(buffer), std::runtime_error);
+  auto result = TryLoadStore(buffer);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().kind, StoreErrorKind::kBadMagic);
+  EXPECT_EQ(result.error().offset, 0u);
 }
 
 TEST(StoreIo, RejectsTruncation) {
@@ -89,23 +102,27 @@ TEST(StoreIo, RejectsTruncation) {
   std::string bytes = buffer.str();
   for (std::size_t cut : {bytes.size() - 1, bytes.size() / 2, std::size_t{9}}) {
     std::stringstream truncated{bytes.substr(0, cut)};
-    EXPECT_THROW(LoadStore(truncated), std::runtime_error) << cut;
+    auto result = TryLoadStore(truncated);
+    ASSERT_FALSE(result.ok()) << cut;
+    EXPECT_EQ(result.error().kind, StoreErrorKind::kTruncated) << cut;
+    EXPECT_LE(result.error().offset, cut);
   }
 }
 
 TEST(StoreIo, RejectsCorruptedDayIndex) {
   activity::ActivityStore store{5};
   store.GetOrCreate(100).Set(2, 7);
-  std::stringstream buffer;
-  SaveStore(store, buffer, StoreFormat::kV1);
-  std::string bytes = buffer.str();
+  std::string bytes = test_bytes::EncodeV1(store);
   // In the v1 format the day index u16 sits right after magic(8) +
   // days(4) + count(8) + key(4) + nonzero(4) = offset 28. Corrupt it
   // beyond the day range; v1 has no checksum, so only the semantic
   // validation can catch this.
   bytes[28] = 99;
   std::stringstream corrupted{bytes};
-  EXPECT_THROW(LoadStore(corrupted), std::runtime_error);
+  auto result = TryLoadStore(corrupted);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().kind, StoreErrorKind::kMalformed);
+  EXPECT_EQ(result.error().offset, 28u);
 }
 
 TEST(StoreIo, FileRoundTrip) {
@@ -113,13 +130,16 @@ TEST(StoreIo, FileRoundTrip) {
   std::string path = ::testing::TempDir() + "/ipscope_store_test." +
                      std::to_string(getpid()) + ".bin";
   SaveStoreFile(store, path);
-  auto loaded = LoadStoreFile(path);
-  EXPECT_TRUE(StoresEqual(store, loaded));
+  auto loaded = TryLoadStoreFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
+  EXPECT_TRUE(StoresEqual(store, loaded.value().store));
 }
 
-TEST(StoreIo, MissingFileThrows) {
-  EXPECT_THROW(LoadStoreFile("/nonexistent/path/store.bin"),
-               std::runtime_error);
+TEST(StoreIo, MissingFileIsOpenFailed) {
+  auto result = TryLoadStoreFile("/nonexistent/path/store.bin");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().kind, StoreErrorKind::kOpenFailed);
+  EXPECT_EQ(result.error().offset, 0u);
 }
 
 TEST(StoreIo, CompressionSkipsEmptyDays) {
@@ -129,10 +149,9 @@ TEST(StoreIo, CompressionSkipsEmptyDays) {
   // fixed overhead is larger than v1's but still tiny vs dense.
   activity::ActivityStore store{1000};
   store.GetOrCreate(5).Set(500, 1);
-  std::stringstream v1, v2;
-  SaveStore(store, v1, StoreFormat::kV1);
-  SaveStore(store, v2, StoreFormat::kV2);
-  EXPECT_LT(v1.str().size(), 100u);
+  std::stringstream v2;
+  SaveStore(store, v2);
+  EXPECT_LT(test_bytes::EncodeV1(store).size(), 100u);
   EXPECT_LT(v2.str().size(), 250u);
 }
 

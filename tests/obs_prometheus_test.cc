@@ -168,6 +168,31 @@ TEST(ObsJson, ParseRejectsMalformedInputLoudly) {
   }
 }
 
+TEST(ObsJson, ParseEnforcesTheJsonNumberGrammar) {
+  // from_chars accepts all of these; JSON does not. 1e400 overflows to
+  // infinity, which JSON cannot represent either.
+  for (const char* bad : {"inf", "-inf", "-infinity", "-nan", "[nan]", "1.",
+                          "01", ".5", "+1", "-", "1e", "1e+", "0x10",
+                          "1e400", "[-1e400]"}) {
+    EXPECT_THROW(json::Parse(bad), std::runtime_error) << bad;
+  }
+  EXPECT_EQ(json::Parse("0").AsNumber(), 0.0);
+  EXPECT_EQ(json::Parse("-0").AsNumber(), 0.0);
+  EXPECT_EQ(json::Parse("123").AsNumber(), 123.0);
+  EXPECT_EQ(json::Parse("1.5").AsNumber(), 1.5);
+  EXPECT_EQ(json::Parse("-2.5e-3").AsNumber(), -2.5e-3);
+  EXPECT_EQ(json::Parse("1E+3").AsNumber(), 1000.0);
+  EXPECT_EQ(json::Parse("[1e300]").AsArray()[0].AsNumber(), 1e300);
+  try {
+    json::Parse("[1, -inf]");
+    FAIL() << "expected parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("invalid number at offset 4"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ObsJson, ParseErrorsCarryByteOffsets) {
   try {
     json::Parse("{\"a\": }");

@@ -275,6 +275,30 @@ TEST(ServeDirect, TypedErrorsForBadInput) {
   EXPECT_EQ(kind_of(R"({"endpoint": "churn", "window": 0})"), "bad-request");
 }
 
+TEST(ServeDirect, NonFiniteAndOutOfRangeNumbersAreRejected) {
+  auto store = MakeStore();
+  auto kind_of = [&](std::string_view body) {
+    auto doc = obs::json::Parse(Server::DirectAnswer(store, 1, {}, body));
+    EXPECT_FALSE(doc.Find("ok")->AsBool()) << body;
+    return doc.Find("error")->Find("kind")->AsString();
+  };
+  // Not JSON numbers at all: the parser refuses them.
+  EXPECT_EQ(kind_of(R"({"endpoint":"churn","window":inf})"), "bad-json");
+  EXPECT_EQ(kind_of(R"({"endpoint":"churn","window":-infinity})"),
+            "bad-json");
+  EXPECT_EQ(kind_of(R"({"endpoint":"churn","window":-nan})"), "bad-json");
+  EXPECT_EQ(kind_of(R"({"endpoint":"churn","window":1e400})"), "bad-json");
+  // Valid JSON, but far outside the field's range or not an integer.
+  EXPECT_EQ(kind_of(R"({"endpoint":"churn","window":1e300})"),
+            "bad-request");
+  EXPECT_EQ(kind_of(R"({"endpoint":"churn","window":-1e300})"),
+            "bad-request");
+  EXPECT_EQ(kind_of(R"({"endpoint":"churn","window":7.5})"), "bad-request");
+  EXPECT_EQ(kind_of(R"({"endpoint":"prefix","prefix":"10.0.0.0/8",)"
+                    R"("day_first":1e19})"),
+            "bad-request");
+}
+
 // --- Server: cache, frames, batch ------------------------------------------
 
 TEST(ServeServer, CacheHitIsByteIdenticalToMiss) {
