@@ -37,7 +37,7 @@ mkdir -p results
 echo "== lint gate"
 build/tools/lint/ipscope_lint --self-test --corpus tests/lint_corpus \
   | tee results/lint_selftest.txt
-build/tools/lint/ipscope_lint --root . --cache-dir build/lint-cache \
+build/tools/lint/ipscope_lint --root . \
   --metrics-out results/lint_metrics.json | tee results/lint.txt
 # clang-tidy pass (skipped with a warning when clang-tidy is absent).
 scripts/lint.sh build >/dev/null
@@ -79,16 +79,6 @@ grep -q '^src/cli/zz_lint_teeth\.cc:4:.*\[errors\.discarded-result\]' \
 lint_teeth_cleanup
 trap - EXIT
 echo "lint gate: seeded violations correctly caught"
-
-# Warm-cache check: a second scan over the now-unchanged tree must serve
-# every file from build/lint-cache and re-extract zero.
-build/tools/lint/ipscope_lint --root . --cache-dir build/lint-cache \
-  --metrics-out results/lint_metrics_warm.json >results/lint_warm.txt
-grep -Eq '"lint\.facts_cached": 0(,|\})' results/lint_metrics_warm.json || {
-  echo "FATAL: warm-cache lint rescan re-extracted changed files" >&2
-  exit 1
-}
-echo "lint cache: warm rescan re-extracted 0 files"
 
 # Correctness gate: the differential sweep re-derives every figure series
 # with the naive check::reference oracles and compares the optimized
@@ -208,5 +198,12 @@ if build/tools/ipscope_cli benchdiff BENCH_pipeline.json \
   exit 1
 fi
 echo "benchdiff gate: seeded regression correctly rejected"
+
+# The perfbench harness's own unit tests: its metric lists must match
+# BENCHMARK.json, self-time accounting must hold on synthetic spans, and
+# one corrupted response byte must count as exactly one failure. They
+# build the harness into .bench_build/ (slow the first time).
+echo "== perfbench unit tests"
+python3 -m unittest discover -s perfbench/tests
 
 echo "All experiment outputs written to results/."

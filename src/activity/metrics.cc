@@ -22,10 +22,8 @@ std::vector<BlockMetrics> ComputeBlockMetrics(const ActivityStore& store,
             first, last, [&](net::BlockKey key, const ActivityMatrix& m) {
               int fd = m.FillingDegree(day_first, day_last);
               if (fd == 0) return;
-              double stu = static_cast<double>(
-                               m.SpatioTemporalActivity(day_first, day_last)) /
-                           (256.0 * covered);
-              out.push_back(BlockMetrics{key, fd, stu});
+              out.push_back(BlockMetrics{
+                  key, fd, CoveredStu(m, day_first, day_last, covered)});
             });
       },
       [](std::vector<BlockMetrics>& acc, std::vector<BlockMetrics>&& part) {

@@ -18,6 +18,15 @@
 
 namespace ipscope::activity {
 
+// STU of one block over the covered days of [day_first, day_last):
+// uncovered days hold no activity by construction, so only the denominator
+// differs from m.Stu(day_first, day_last). Requires covered_days > 0.
+inline double CoveredStu(const ActivityMatrix& m, int day_first, int day_last,
+                         int covered_days) {
+  return static_cast<double>(m.SpatioTemporalActivity(day_first, day_last)) /
+         (256.0 * covered_days);
+}
+
 struct BlockMetrics {
   net::BlockKey key = 0;
   int filling_degree = 0;

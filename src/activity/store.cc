@@ -16,6 +16,17 @@ constexpr std::size_t kBlockGrain = 16;
 
 }  // namespace
 
+ActivityStore::ActivityStore(const ActivityStore& other)
+    : days_(other.days_),
+      covered_(other.covered_),
+      keys_(other.keys_),
+      matrices_(other.matrices_) {}
+
+ActivityStore& ActivityStore::operator=(const ActivityStore& other) {
+  if (this != &other) *this = ActivityStore(other);
+  return *this;
+}
+
 ActivityMatrix& ActivityStore::GetOrCreate(net::BlockKey key) {
   auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
   auto idx = static_cast<std::size_t>(it - keys_.begin());

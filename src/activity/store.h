@@ -33,6 +33,14 @@ class ActivityStore {
   explicit ActivityStore(int days)
       : days_(days), covered_(static_cast<std::size_t>(days), true) {}
 
+  // A copy deep-copies every matrix into owned rows (ActivityMatrix copy
+  // semantics), so it never references an arena and carries none. Moves
+  // keep the storage mode: the arena buffer transfers with its views.
+  ActivityStore(const ActivityStore& other);
+  ActivityStore& operator=(const ActivityStore& other);
+  ActivityStore(ActivityStore&&) noexcept = default;
+  ActivityStore& operator=(ActivityStore&&) noexcept = default;
+
   int days() const { return days_; }
   std::size_t BlockCount() const { return keys_.size(); }
 
@@ -110,7 +118,7 @@ class ActivityStore {
   std::vector<ActivityMatrix> matrices_;  // parallel to keys_
   // Backing rows for arena-adopted matrices (empty unless AdoptArena ran).
   // Must outlive matrices_ views; vector moves keep the buffer stable, so
-  // the implicit move of the whole store is safe.
+  // the defaulted move of the whole store is safe.
   std::vector<DayBits> arena_;
 };
 

@@ -217,9 +217,12 @@ int CmdSummary(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   }
   out << "unique addresses over period: "
       << report::FormatCount(store.CountActive(0, store.days())) << "\n";
+  // Uncovered days hold zero rows, so the sum is unchanged by them; only
+  // the denominator must skip them.
+  const int covered = store.CoveredDaysIn(0, store.days());
   double mean = 0;
   for (double v : series) mean += v;
-  mean /= static_cast<double>(series.size());
+  if (covered > 0) mean /= covered;
   out << "mean active per snapshot:     "
       << report::FormatCount(static_cast<std::uint64_t>(mean)) << "\n";
   out << "per-snapshot actives: " << report::RenderSparkline(series) << "\n";
@@ -315,8 +318,13 @@ int CmdRender(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     return 1;
   }
   auto features = activity::ComputeFeatures(*matrix);
+  // The coverage-aware STU, as `blocks` reports it.
+  const int covered = store.CoveredDaysIn(0, store.days());
+  double stu = covered > 0 ? activity::CoveredStu(*matrix, 0, store.days(),
+                                                  covered)
+                           : 0.0;
   out << *prefix << ": FD=" << features.filling_degree
-      << " STU=" << report::FormatDouble(features.stu) << " pattern="
+      << " STU=" << report::FormatDouble(stu) << " pattern="
       << activity::PatternName(activity::ClassifyPattern(features)) << "\n";
   for (const auto& line : report::RenderActivityMatrix(*matrix)) {
     out << line << "\n";

@@ -11,7 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "activity/store.h"
+#include "io/store_io.h"
 #include "netbase/ipv4.h"
+#include "netbase/prefix.h"
 
 namespace ipscope::cli {
 namespace {
@@ -223,6 +226,49 @@ TEST(Cli, RenderKnownBlock) {
   EXPECT_EQ(Main({"render", DatasetPath(), "--block", block}, out, err), 0)
       << "block=" << block << " err=" << err.str();
   EXPECT_NE(out.str().find("FD="), std::string::npos);
+}
+
+// A 4-day store with one block, 0.0.1.0/24: hosts 0..127 active on days
+// 0-1, days 2-3 never observed ("no data", not "all down").
+std::string GappedDatasetPath() {
+  static const std::string path = [] {
+    std::string p = ::testing::TempDir() + "/ipscope_cli_gapped." +
+                    std::to_string(getpid()) + ".bin";
+    activity::ActivityStore store{4};
+    activity::ActivityMatrix& m =
+        store.GetOrCreate(net::BlockKeyOf(net::IPv4Addr{0, 0, 1, 0}));
+    for (int day = 0; day < 2; ++day) {
+      for (int host = 0; host < 128; ++host) m.Set(day, host);
+    }
+    store.SetDayCovered(2, false);
+    store.SetDayCovered(3, false);
+    io::SaveStoreFile(store, p);
+    return p;
+  }();
+  return path;
+}
+
+TEST(Cli, SummaryMeanSkipsUncoveredDays) {
+  std::ostringstream out, err;
+  ASSERT_EQ(Main({"summary", GappedDatasetPath()}, out, err), 0) << err.str();
+  EXPECT_NE(out.str().find("coverage: 2/4 snapshots"), std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("mean active per snapshot:     128\n"),
+            std::string::npos)
+      << out.str();
+}
+
+TEST(Cli, RenderAndBlocksAgreeOnCoverageAwareStu) {
+  std::ostringstream blocks, render, err;
+  ASSERT_EQ(Main({"blocks", GappedDatasetPath()}, blocks, err), 0)
+      << err.str();
+  ASSERT_EQ(Main({"render", GappedDatasetPath(), "--block", "0.0.1.0/24"},
+                 render, err),
+            0)
+      << err.str();
+  EXPECT_NE(blocks.str().find("0.50"), std::string::npos) << blocks.str();
+  EXPECT_NE(render.str().find("STU=0.50 "), std::string::npos)
+      << render.str();
 }
 
 TEST(Cli, EventsHistogram) {

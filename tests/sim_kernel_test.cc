@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <type_traits>
 #include <vector>
 
 #include "activity/matrix.h"
@@ -17,6 +22,11 @@
 
 namespace ipscope::sim {
 namespace {
+
+// Snapshot installs and server construction move stores; a copy there
+// would silently double memory.
+static_assert(std::is_nothrow_move_constructible_v<activity::ActivityStore>);
+static_assert(std::is_nothrow_move_assignable_v<activity::ActivityStore>);
 
 BlockPlan MakePlan(PolicyKind kind) {
   BlockPlan plan;
@@ -271,6 +281,50 @@ TEST(ArenaStore, CopiedViewMatrixOwnsItsRows) {
     first_row = m->Row(0);
   }
   ASSERT_EQ(copy.Row(0), first_row);
+}
+
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+// Heap bytes in use (small-chunk arenas plus mmapped chunks).
+std::size_t HeapInUse() {
+  struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+#endif
+
+TEST(ArenaStore, CopyAllocatesOnlyOwnedRows) {
+  // Every matrix copy deep-copies into owned rows, so a copied store must
+  // not also duplicate the source's arena, which nothing would reference.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+  sim::World world{[] {
+    sim::WorldConfig config;
+    config.target_client_blocks = 1000;
+    return config;
+  }()};
+  cdn::Observatory daily = cdn::Observatory::Daily(world);
+  activity::ActivityStore store = daily.BuildStore();
+  ASSERT_GT(store.BlockCount(), 0u);
+  const double rows = static_cast<double>(store.BlockCount()) *
+                      store.days() * sizeof(activity::DayBits);
+
+  std::size_t before = HeapInUse();
+  activity::ActivityStore copy = store;
+  std::size_t after = HeapInUse();
+  EXPECT_LE(static_cast<double>(after - before), 1.1 * rows)
+      << "copy allocated " << (after - before) << " B for " << rows
+      << " B of rows";
+
+  ASSERT_EQ(copy.BlockCount(), store.BlockCount());
+  for (std::size_t i = 0; i < store.BlockCount(); ++i) {
+    ASSERT_EQ(copy.KeyAt(i), store.KeyAt(i));
+    for (int d = 0; d < store.days(); ++d) {
+      ASSERT_EQ(copy.MatrixAt(i).Row(d), store.MatrixAt(i).Row(d));
+    }
+  }
+#else
+  GTEST_SKIP() << "needs glibc mallinfo2 and no sanitizer allocator";
+#endif
 }
 
 }  // namespace
