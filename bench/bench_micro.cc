@@ -1,7 +1,7 @@
 // Microbenchmarks of the core data structures and kernels (google-benchmark).
 #include <benchmark/benchmark.h>
 
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "activity/churn.h"
@@ -9,6 +9,7 @@
 #include "activity/matrix.h"
 #include "bgp/table.h"
 #include "cdn/observatory.h"
+#include "io/crc32c.h"
 #include "io/store_io.h"
 #include "netbase/ip_set.h"
 #include "scan/zmap_order.h"
@@ -142,9 +143,7 @@ void BM_StoreSerializeRoundTrip(benchmark::State& state) {
   const sim::World& world = SharedWorld();
   auto store = cdn::Observatory::Daily(world).BuildStore();
   for (auto _ : state) {
-    std::stringstream buffer;
-    io::SaveStore(store, buffer);
-    auto loaded = io::TryLoadStore(buffer);
+    auto loaded = io::TryLoadStoreBytes(io::StoreBytes(store));
     if (!loaded.ok()) state.SkipWithError("store round trip failed");
     benchmark::DoNotOptimize(loaded.ok());
   }
@@ -152,6 +151,28 @@ void BM_StoreSerializeRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(store.BlockCount()));
 }
 BENCHMARK(BM_StoreSerializeRoundTrip)->Unit(benchmark::kMillisecond);
+
+// The store codec's checksum kernel over 1 MiB: the portable slicing-by-4
+// table and the dispatched implementation (SSE4.2 `crc32` where present).
+template <std::uint32_t (*Extend)(std::uint32_t, const void*, std::size_t)>
+void BM_Crc32cKernel(benchmark::State& state) {
+  std::string data(std::size_t{1} << 20, '\0');
+  rng::Xoshiro256 g{5};
+  for (char& c : data) c = static_cast<char>(g());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Extend(io::kCrc32cInit, data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+}
+void BM_Crc32cPortable(benchmark::State& state) {
+  BM_Crc32cKernel<io::Crc32cExtendPortable>(state);
+}
+BENCHMARK(BM_Crc32cPortable);
+void BM_Crc32c(benchmark::State& state) {
+  BM_Crc32cKernel<io::Crc32cExtend>(state);
+}
+BENCHMARK(BM_Crc32c);
 
 void BM_ZmapPermutation(benchmark::State& state) {
   scan::AddressPermutation perm{42};

@@ -138,19 +138,14 @@ RunResult RunPipeline(const ipscope::sim::WorldConfig& config, int threads) {
   // Stages 3-4: serialize + parse the IPSCOPE2 image in memory, so the
   // numbers measure the codec, not the container's filesystem.
   std::string image;
-  stage("store_save", 0, [&] {
-    std::ostringstream os;
-    ipscope::io::SaveStore(store, os);
-    image = std::move(os).str();
-  });
+  stage("store_save", 0, [&] { image = ipscope::io::StoreBytes(store); });
   double store_mb = static_cast<double>(image.size()) / 1e6;
   run.stages.back().mbytes = store_mb;   // store_save
   run.stages[1].mbytes = store_mb;       // store_build emits the same volume
   run.store_hash = Fnv1a(image);
   Mix(run.fingerprint, run.store_hash);
   stage("store_load", store_mb, [&] {
-    std::istringstream is{image};
-    auto loaded = ipscope::io::TryLoadStore(is);
+    auto loaded = ipscope::io::TryLoadStoreBytes(image);
     if (!loaded.ok()) throw std::runtime_error("store reload failed");
     Mix(run.fingerprint, loaded.value().store.CountActive(0, store.days()));
   });

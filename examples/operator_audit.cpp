@@ -48,6 +48,7 @@ int main() {
   int active_blocks = 0;
   double reclaimable_24ths = 0.0;
 
+  const int covered = store.CoveredDaysIn(0, store.days());
   for (std::uint32_t bi : my_as->block_indices) {
     const sim::BlockPlan& plan = world.blocks()[bi];
     const activity::ActivityMatrix* m =
@@ -56,7 +57,7 @@ int main() {
     ++active_blocks;
     int fd = m->FillingDegree();
     double stu = m->Stu();
-    activity::BlockPattern pattern = activity::ClassifyPattern(*m);
+    activity::BlockPattern pattern = activity::ClassifyPattern(*m, covered);
 
     if (pattern == activity::BlockPattern::kStaticSparse && fd < 64) {
       findings.push_back({plan.block, fd, stu,

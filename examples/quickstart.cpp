@@ -57,7 +57,8 @@ int main() {
   std::cout << "\nactivity pattern of " << net::BlockFromKey(sample.key)
             << " (FD=" << sample.filling_degree << ", STU=" << sample.stu
             << ", classified "
-            << activity::PatternName(activity::ClassifyPattern(*matrix))
+            << activity::PatternName(activity::ClassifyPattern(
+                   *matrix, store.CoveredDaysIn(0, store.days())))
             << "):\n";
   for (const auto& line : report::RenderActivityMatrix(*matrix, 8)) {
     std::cout << "  " << line << "\n";

@@ -57,8 +57,9 @@ int main() {
   std::map<std::string, int> ttl_histogram;
   std::uint64_t blocks = 0;
 
+  const int covered = store.CoveredDaysIn(0, store.days());
   store.ForEach([&](net::BlockKey, const activity::ActivityMatrix& m) {
-    auto features = activity::ComputeFeatures(m);
+    auto features = activity::ComputeFeatures(m, covered);
     if (features.filling_degree == 0) return;
     auto pattern = activity::ClassifyPattern(features);
     double ttl = RecommendedTtlDays(pattern, features);

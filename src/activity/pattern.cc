@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "activity/metrics.h"
+
 namespace ipscope::activity {
 
 const char* PatternName(BlockPattern pattern) {
@@ -22,11 +24,12 @@ const char* PatternName(BlockPattern pattern) {
   return "?";
 }
 
-PatternFeatures ComputeFeatures(const ActivityMatrix& m) {
+PatternFeatures ComputeFeatures(const ActivityMatrix& m, int covered_days) {
   PatternFeatures f;
   f.filling_degree = m.FillingDegree(0, m.days());
+  // Activity implies a covered day, so covered_days > 0 from here on.
   if (f.filling_degree == 0) return f;
-  f.stu = m.Stu(0, m.days());
+  f.stu = CoveredStu(m, 0, m.days(), covered_days);
 
   std::int64_t total_active_days = 0;
   double jaccard_dist_sum = 0.0;
@@ -46,7 +49,7 @@ PatternFeatures ComputeFeatures(const ActivityMatrix& m) {
     }
   }
   f.daily_fill = static_cast<double>(total_active_days) /
-                 (static_cast<double>(m.days()) * f.filling_degree);
+                 (static_cast<double>(covered_days) * f.filling_degree);
   f.turnover = jaccard_pairs > 0 ? jaccard_dist_sum / jaccard_pairs : 0.0;
   f.mean_host_days = static_cast<double>(total_active_days) /
                      static_cast<double>(f.filling_degree);

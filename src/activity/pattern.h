@@ -30,9 +30,9 @@ const char* PatternName(BlockPattern pattern);
 
 struct PatternFeatures {
   int filling_degree = 0;   // distinct active addresses
-  double stu = 0.0;         // spatio-temporal utilization
-  double daily_fill = 0.0;  // mean active-per-day / FD: temporal density of
-                            // each address's own activity
+  double stu = 0.0;         // spatio-temporal utilization over covered days
+  double daily_fill = 0.0;  // mean active-per-covered-day / FD: temporal
+                            // density of each address's own activity
   double turnover = 0.0;    // mean day-to-day Jaccard distance of active sets
   double mean_host_days = 0.0;  // mean active days per active address
   // Coefficient of variation of per-host active-day counts — the key
@@ -42,12 +42,19 @@ struct PatternFeatures {
   double host_days_cv = 0.0;
 };
 
-PatternFeatures ComputeFeatures(const ActivityMatrix& matrix);
+// Features over the whole matrix. `covered_days` is the number of days the
+// owning store observed (ActivityStore::CoveredDaysIn(0, days()), computed
+// once per analysis, not per block; matrix.days() for a gap-free matrix):
+// uncovered days hold no activity, so the per-day averages divide by the
+// covered days only, as activity::CoveredStu does.
+PatternFeatures ComputeFeatures(const ActivityMatrix& matrix,
+                                int covered_days);
 
 BlockPattern ClassifyPattern(const PatternFeatures& features);
 
-inline BlockPattern ClassifyPattern(const ActivityMatrix& matrix) {
-  return ClassifyPattern(ComputeFeatures(matrix));
+inline BlockPattern ClassifyPattern(const ActivityMatrix& matrix,
+                                    int covered_days) {
+  return ClassifyPattern(ComputeFeatures(matrix, covered_days));
 }
 
 }  // namespace ipscope::activity

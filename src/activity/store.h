@@ -63,13 +63,16 @@ class ActivityStore {
   // Insertions may arrive in any order; the store keeps blocks sorted.
   ActivityMatrix& GetOrCreate(net::BlockKey key);
 
-  // One-shot bulk adoption for builders that generate every block's rows
-  // into a single contiguous arena (day-major per block): the store takes
-  // ownership of `arena` and installs each keys[i] as a view over days()
-  // rows starting at arena[offsets[i]] — O(blocks) pointer work, no row
-  // copies. Requires an empty, fully covered store and strictly ascending
-  // keys. Later GetOrCreate insertions still work; they simply own their
-  // rows (mixed storage modes are fine, see DESIGN.md §4.13).
+  // One-shot bulk adoption for builders and decoders that produce every
+  // block's rows into a single contiguous arena (day-major per block): the
+  // store takes ownership of `arena` and installs each keys[i] as a view
+  // over days() rows starting at arena[offsets[i]] — O(blocks) pointer
+  // work, no row copies. Requires a store with no blocks yet and strictly
+  // ascending keys. The coverage mask may already have gaps, but then the
+  // arena's rows on uncovered days must be zero (the invariant
+  // SetDayCovered keeps). Later GetOrCreate insertions still work; they
+  // simply own their rows (mixed storage modes are fine, see DESIGN.md
+  // §4.13).
   void AdoptArena(std::vector<net::BlockKey> keys, std::vector<DayBits> arena,
                   const std::vector<std::size_t>& offsets);
 

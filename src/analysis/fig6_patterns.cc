@@ -96,6 +96,7 @@ Fig6Result RunFig6(const sim::World& world,
                    const activity::ActivityStore& daily_store) {
   Fig6Result out;
   std::span<const sim::BlockPlan> blocks = world.blocks();
+  const int covered = daily_store.CoveredDaysIn(0, daily_store.days());
 
   Fig6Acc acc = par::ParallelReduce(
       std::size_t{0}, blocks.size(), Fig6Acc{},
@@ -113,7 +114,8 @@ Fig6Result RunFig6(const sim::World& world,
 
           int truth = TruthIndex(plan);
           if (truth < 0) continue;
-          activity::PatternFeatures features = activity::ComputeFeatures(*m);
+          activity::PatternFeatures features =
+              activity::ComputeFeatures(*m, covered);
           activity::BlockPattern pattern = activity::ClassifyPattern(features);
           a.confusion[static_cast<std::size_t>(truth)]
                      [static_cast<std::size_t>(pattern)] += 1;
@@ -151,7 +153,7 @@ Fig6Result RunFig6(const sim::World& world,
     } else {
       ex.truth = Fig6Result::kTruthNames[TruthIndex(plan)];
     }
-    ex.features = activity::ComputeFeatures(*m);
+    ex.features = activity::ComputeFeatures(*m, covered);
     ex.classified = activity::ClassifyPattern(ex.features);
     ex.rendering = report::RenderActivityMatrix(*m);
     out.exemplars.push_back(std::move(ex));

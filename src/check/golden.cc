@@ -145,9 +145,10 @@ std::vector<GoldenFile> RenderGoldens(const GoldenConfig& config) {
   render("patterns.csv", {"pattern", "blocks"}, [&](report::CsvWriter& csv) {
     // Count in declaration order of BlockPattern (PatternName order).
     std::vector<std::pair<std::string, std::uint64_t>> counts;
+    const int covered = store.CoveredDaysIn(0, store.days());
     store.ForEach([&](net::BlockKey, const activity::ActivityMatrix& m) {
-      std::string name = activity::PatternName(
-          activity::ClassifyPattern(activity::ComputeFeatures(m)));
+      std::string name =
+          activity::PatternName(activity::ClassifyPattern(m, covered));
       for (auto& entry : counts) {
         if (entry.first == name) {
           ++entry.second;

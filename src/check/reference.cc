@@ -394,6 +394,7 @@ std::vector<std::pair<std::string, std::uint64_t>> RefPatternCounts(
                           "dynamic-short-lease", "dynamic-long-lease",
                           "fully-utilized",      "mixed"};
   std::uint64_t counts[6] = {};
+  const int covered = CoveredDaysIn(store, 0, store.days());
 
   store.ForEach([&](net::BlockKey, const activity::ActivityMatrix& m) {
     int days = m.days();
@@ -403,8 +404,9 @@ std::vector<std::pair<std::string, std::uint64_t>> RefPatternCounts(
       ++counts[0];  // inactive
       return;
     }
+    // Uncovered days carry no activity and do not count toward the STU.
     double stu = static_cast<double>(BlockActivePairs(m, 0, days)) /
-                 (256.0 * days);
+                 (256.0 * covered);
     std::int64_t total_active_days = 0;
     int host_days[256] = {};
     for (int h = 0; h < 256; ++h) {

@@ -240,11 +240,12 @@ Diff RunCase(const CaseSpec& spec) {
   // Fig 6: pattern classification counts.
   {
     auto ref = RefPatternCounts(store);
+    const int covered = opt.CoveredDaysIn(0, opt.days());
     for (const auto& entry : ref) {
       std::uint64_t got = 0;
       opt.ForEach([&](net::BlockKey, const activity::ActivityMatrix& m) {
-        if (entry.first == activity::PatternName(activity::ClassifyPattern(
-                               activity::ComputeFeatures(m)))) {
+        if (entry.first ==
+            activity::PatternName(activity::ClassifyPattern(m, covered))) {
           ++got;
         }
       });

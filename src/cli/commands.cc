@@ -282,13 +282,15 @@ int CmdBlocks(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     return 2;
   }
   int top = cmd.IntFlag("top", 20);
+  const int covered = store.CoveredDaysIn(0, store.days());
   report::Table t({"block", "FD", "STU", "pattern"});
   for (int i = 0; i < top && i < static_cast<int>(metrics.size()); ++i) {
     const auto& m = metrics[static_cast<std::size_t>(i)];
     const activity::ActivityMatrix* matrix = store.Find(m.key);
     t.AddRow({net::BlockFromKey(m.key).ToString(),
               std::to_string(m.filling_degree), report::FormatDouble(m.stu),
-              activity::PatternName(activity::ClassifyPattern(*matrix))});
+              activity::PatternName(
+                  activity::ClassifyPattern(*matrix, covered))});
   }
   t.Print(out);
   return 0;
@@ -317,14 +319,11 @@ int CmdRender(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
     err << "render: " << *flag << " has no activity in this dataset\n";
     return 1;
   }
-  auto features = activity::ComputeFeatures(*matrix);
-  // The coverage-aware STU, as `blocks` reports it.
-  const int covered = store.CoveredDaysIn(0, store.days());
-  double stu = covered > 0 ? activity::CoveredStu(*matrix, 0, store.days(),
-                                                  covered)
-                           : 0.0;
+  // Coverage-aware features: the STU is the one `blocks` reports.
+  auto features = activity::ComputeFeatures(
+      *matrix, store.CoveredDaysIn(0, store.days()));
   out << *prefix << ": FD=" << features.filling_degree
-      << " STU=" << report::FormatDouble(stu) << " pattern="
+      << " STU=" << report::FormatDouble(features.stu) << " pattern="
       << activity::PatternName(activity::ClassifyPattern(features)) << "\n";
   for (const auto& line : report::RenderActivityMatrix(*matrix)) {
     out << line << "\n";
@@ -399,12 +398,14 @@ int CmdExport(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   {
     std::ofstream os{*outdir + "/block_metrics.csv"};
     report::CsvWriter csv(os, {"block", "filling_degree", "stu", "pattern"});
+    const int covered = store.CoveredDaysIn(0, store.days());
     for (const auto& m : activity::ComputeBlockMetrics(store)) {
       const activity::ActivityMatrix* matrix = store.Find(m.key);
       csv.AddRow({net::BlockFromKey(m.key).ToString(),
                   std::to_string(m.filling_degree),
                   report::FormatDouble(m.stu, 4),
-                  activity::PatternName(activity::ClassifyPattern(*matrix))});
+                  activity::PatternName(
+                      activity::ClassifyPattern(*matrix, covered))});
     }
   }
   {
@@ -797,8 +798,7 @@ int CmdChaos(const CommandLine& cmd, std::ostream& out, std::ostream& err) {
   injector.ApplyToBytes(bytes, &report);
   auto predicted = PredictSalvage(clean, bytes.size(), report.flipped_offsets,
                                   original.size());
-  std::istringstream damaged{bytes};
-  auto load = io::TryLoadStore(damaged, io::LoadOptions{.salvage = true});
+  auto load = io::TryLoadStoreBytes(bytes, io::LoadOptions{.salvage = true});
 
   bool store_usable = load.ok();
   if (!store_usable) {

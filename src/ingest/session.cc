@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
 #include <utility>
 
 #include "fault/crash.h"
@@ -203,7 +202,7 @@ Result<Session, io::StoreError> Session::Open(const std::string& dir,
     auto read = io::ReadWholeFile((fs::path(dir) / name).string());
     if (!read.ok()) continue;
     const std::string& bytes = read.value();
-    auto loaded = io::TryLoadStoreFile((fs::path(dir) / name).string());
+    auto loaded = io::TryLoadStoreBytes(bytes);
     if (!loaded.ok()) continue;
     DayRange range = CoveredRange(loaded.value().store);
     manifest.shards.push_back(ShardEntry{
@@ -318,8 +317,7 @@ Result<activity::ActivityStore, io::StoreError> Session::Load() const {
   for (const ShardEntry& entry : manifest_.shards) {
     auto bytes = ReadShard(dir_, entry);
     if (!bytes.ok()) return bytes.error();
-    std::istringstream is{std::move(bytes).value(), std::ios::binary};
-    auto loaded = io::TryLoadStore(is);
+    auto loaded = io::TryLoadStoreBytes(bytes.value());
     if (!loaded.ok()) {
       io::StoreError error = loaded.error();
       error.message = entry.file + ": " + error.message;

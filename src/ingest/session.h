@@ -26,7 +26,7 @@
 // refuse — with a typed StoreError — a manifest or shard that fails its
 // checksum. Open therefore always lands on exactly the last committed
 // manifest; salvage semantics for a damaged shard body mirror
-// io::TryLoadStore (per-block checksums, typed errors).
+// io::TryLoadStoreBytes (per-block checksums, typed errors).
 //
 // Idempotency: a delta id already in the manifest makes Append a no-op
 // (AppendResult::applied = false), so replaying a day's logs — the normal

@@ -131,7 +131,10 @@ std::optional<std::string> WriteFileAtomic(const std::string& path,
 
 Result<std::string, ReadFileError> ReadWholeFile(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return ReadFileError{"open", StageError("open", path, errno)};
+  if (fd < 0) {
+    const int err = errno;
+    return ReadFileError{"open", StageError("open", path, err), err};
+  }
   // Read straight into a buffer sized from fstat. The spare byte lets the
   // read that sees end-of-file land inside it, so an unchanged file is
   // read with no reallocation: one copy of the content in memory. Files
@@ -150,14 +153,15 @@ Result<std::string, ReadFileError> ReadWholeFile(const std::string& path) {
       if (errno == EINTR) continue;
       int err = errno;
       CloseDiscard(fd);
-      return ReadFileError{"read", StageError("read", path, err)};
+      return ReadFileError{"read", StageError("read", path, err), err};
     }
     if (n == 0) break;
     done += static_cast<std::size_t>(n);
   }
   content.resize(done);
   if (::close(fd) != 0) {
-    return ReadFileError{"close", StageError("close", path, errno)};
+    const int err = errno;
+    return ReadFileError{"close", StageError("close", path, err), err};
   }
   return content;
 }

@@ -69,6 +69,7 @@ struct ReadFileError {
   // "read" or "close" when it opened but the read failed part-way.
   std::string_view stage;
   std::string message;  // "<stage> failed for <path>: <strerror>"
+  int error_number = 0;  // errno of the failed stage
 };
 
 // The whole content of `path`, read into one buffer sized from fstat (no

@@ -1,14 +1,15 @@
 #include "io/store_io.h"
 
-#include <cerrno>
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "io/atomic_file.h"
 #include "io/crc32c.h"
@@ -26,79 +27,121 @@ constexpr std::uint32_t kMaxDays = 4096;
 constexpr std::uint64_t kMaxBlocks = std::uint64_t{1} << 24;
 // One non-empty day in a block record: u16 index + 4 x u64 bitmap words.
 constexpr std::size_t kDayRecordBytes = 2 + 4 * 8;
+// Block record framing: u32 key + u32 non-empty day count.
+constexpr std::size_t kBlockHeaderBytes = 8;
+// IPSCOPE2 footer: "END2" + u64 block count echo + u32 stream CRC.
+constexpr std::size_t kFooterBytes = 4 + 8 + 4;
 
-// All simulation targets are little-endian in practice; the explicit
-// byte-wise encoders below keep the format portable regardless.
+// The format is little-endian. On little-endian hosts (every simulation
+// target in practice) a field is one memcpy; the byte loops keep other
+// hosts correct.
 template <typename T>
-void AppendInt(std::string& buf, T value) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+char* Put(char* p, T value) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &value, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
   }
+  return p + sizeof(T);
 }
 
 template <typename T>
-T ParseInt(const char* bytes) {
+T Get(const char* p) {
   T value = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    value |= static_cast<T>(static_cast<unsigned char>(bytes[i])) << (8 * i);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&value, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      value |= static_cast<T>(static_cast<unsigned char>(p[i])) << (8 * i);
+    }
   }
   return value;
 }
 
-// One block record: key, non-empty day count, then each non-empty day's
-// index + bitmap (the payload both formats share).
-void AppendBlockRecord(std::string& buf, net::BlockKey key,
-                       const activity::ActivityMatrix& m) {
-  AppendInt<std::uint32_t>(buf, key);
-  std::uint32_t nonzero = 0;
-  for (int d = 0; d < m.days(); ++d) {
-    const activity::DayBits& row = m.Row(d);
-    if ((row[0] | row[1] | row[2] | row[3]) != 0) ++nonzero;
-  }
-  AppendInt<std::uint32_t>(buf, nonzero);
-  for (int d = 0; d < m.days(); ++d) {
-    const activity::DayBits& row = m.Row(d);
-    if ((row[0] | row[1] | row[2] | row[3]) == 0) continue;
-    AppendInt<std::uint16_t>(buf, static_cast<std::uint16_t>(d));
-    for (std::uint64_t word : row) AppendInt<std::uint64_t>(buf, word);
-  }
+// --- Encoding ---------------------------------------------------------------
+
+std::size_t HeaderBytes(int days) {
+  return 8 + 4 + 8 + (static_cast<std::size_t>(days) + 7) / 8 + 4;
 }
 
-// Offset-tracking input cursor. `offset` counts successfully consumed
-// bytes (so it is the absolute position of the next unread byte), and
-// `stream_crc` accumulates CRC32C over everything consumed — which is
-// exactly what the v2 footer checksum covers.
-struct Reader {
-  std::istream& is;
-  std::uint64_t offset = 0;
-  std::uint32_t stream_crc = kCrc32cInit;
+std::size_t RecordBytes(std::uint32_t nonzero) {
+  return kBlockHeaderBytes + nonzero * kDayRecordBytes + 4;
+}
 
-  bool Read(char* buf, std::size_t n) {
-    is.read(buf, static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(is.gcount()) != n) return false;
-    stream_crc = Crc32cExtend(stream_crc, buf, n);
-    offset += n;
-    return true;
+bool RowEmpty(const activity::DayBits& row) {
+  return (row[0] | row[1] | row[2] | row[3]) == 0;
+}
+
+std::uint32_t NonEmptyDays(const activity::ActivityMatrix& m) {
+  std::uint32_t n = 0;
+  for (int d = 0; d < m.days(); ++d) n += RowEmpty(m.Row(d)) ? 0 : 1;
+  return n;
+}
+
+// Magic, dimensions, coverage bitmap and header CRC; returns the end.
+char* EncodeHeader(char* p, const activity::ActivityStore& store) {
+  char* start = p;
+  std::memcpy(p, kMagicV2, sizeof(kMagicV2));
+  p += sizeof(kMagicV2);
+  p = Put<std::uint32_t>(p, static_cast<std::uint32_t>(store.days()));
+  p = Put<std::uint64_t>(p, store.BlockCount());
+  const std::size_t coverage_bytes =
+      (static_cast<std::size_t>(store.days()) + 7) / 8;
+  std::memset(p, 0, coverage_bytes);
+  for (int d = 0; d < store.days(); ++d) {
+    if (store.DayCovered(d)) {
+      p[d / 8] = static_cast<char>(p[d / 8] | (1 << (d % 8)));
+    }
   }
+  p += coverage_bytes;
+  const auto len = static_cast<std::size_t>(p - start);
+  return Put<std::uint32_t>(p, Crc32c(start, len));
+}
 
-  template <typename T>
-  bool ReadInt(T* out) {
-    char buf[sizeof(T)];
-    if (!Read(buf, sizeof(T))) return false;
-    *out = ParseInt<T>(buf);
-    return true;
+// One block record — key, non-empty day count, each non-empty day's index
+// and bitmap, then the block CRC — written at `p`, which must have room
+// for RecordBytes(nonzero). Returns the end.
+char* EncodeBlock(char* p, net::BlockKey key, const activity::ActivityMatrix& m,
+                  std::uint32_t nonzero) {
+  char* start = p;
+  p = Put<std::uint32_t>(p, key);
+  p = Put<std::uint32_t>(p, nonzero);
+  for (int d = 0; d < m.days(); ++d) {
+    const activity::DayBits& row = m.Row(d);
+    if (RowEmpty(row)) continue;
+    p = Put<std::uint16_t>(p, static_cast<std::uint16_t>(d));
+    for (std::uint64_t word : row) p = Put<std::uint64_t>(p, word);
   }
+  const auto len = static_cast<std::size_t>(p - start);
+  return Put<std::uint32_t>(p, Crc32c(start, len));
+}
 
-  // Where the input actually ended relative to the stream start — offset
-  // of the last successfully consumed byte plus whatever a failed partial
-  // read managed to pull.
-  std::uint64_t FailurePosition() const {
-    return offset + static_cast<std::uint64_t>(is.gcount());
-  }
-};
+// Footer at `p`; `stream_crc` covers every byte before it. Returns the end.
+char* EncodeFooter(char* p, std::uint64_t blocks, std::uint32_t stream_crc) {
+  char* start = p;
+  std::memcpy(p, kFooterMagic, sizeof(kFooterMagic));
+  p = Put<std::uint64_t>(p + sizeof(kFooterMagic), blocks);
+  const auto len = static_cast<std::size_t>(p - start);
+  return Put<std::uint32_t>(p, Crc32cExtend(stream_crc, start, len));
+}
 
-StoreError Truncated(const Reader& r, const std::string& what) {
-  return StoreError{StoreErrorKind::kTruncated, r.FailurePosition(),
+void RecordSave(std::uint64_t bytes, obs::Span& span) {
+  double seconds = std::max(span.Stop(), 1e-9);
+  auto& registry = obs::GlobalRegistry();
+  registry.GetCounter("io.store.saves").Add(1);
+  registry.GetCounter("io.store.save_bytes").Add(bytes);
+  registry.GetGauge("io.store.save_mb_per_s")
+      .Set(static_cast<double>(bytes) / 1e6 / seconds);
+}
+
+// --- Decoding ---------------------------------------------------------------
+
+StoreError Truncated(std::string_view in, const std::string& what) {
+  // A field that does not fit runs into the end of the input, which is
+  // where the input is reported to have ended.
+  return StoreError{StoreErrorKind::kTruncated, in.size(),
                     "truncated input while reading " + what};
 }
 
@@ -106,168 +149,211 @@ StoreError Malformed(std::uint64_t offset, std::string message) {
   return StoreError{StoreErrorKind::kMalformed, offset, std::move(message)};
 }
 
-// Shared loader state: a header-validated store plus running stats.
-// `Fail` implements the salvage policy in one place — return the intact
-// prefix when salvaging, the error otherwise.
-struct LoadContext {
-  activity::ActivityStore store;
-  LoadStats stats;
-  bool salvage = false;
-
-  Result<LoadResult, StoreError> Fail(StoreError error) {
-    if (!salvage) return error;
-    stats.complete = false;
-    stats.blocks_salvaged = stats.blocks_loaded;
-    stats.error = std::move(error);
-    return LoadResult{std::move(store), std::move(stats)};
+// Leading block records whose framing is complete (header, payload and,
+// for v2, checksum all inside the input). The decode installs at most this
+// many blocks, so it sizes the arena once from what the bytes can hold,
+// never from the header's unverified block count. Touches one cache line
+// per block.
+std::uint64_t CompleteRecords(std::string_view in, std::size_t pos,
+                              std::uint64_t blocks, std::uint32_t days,
+                              bool v2) {
+  std::uint64_t n = 0;
+  while (n < blocks && in.size() - pos >= kBlockHeaderBytes) {
+    auto nonzero = Get<std::uint32_t>(in.data() + pos + 4);
+    if (nonzero > days) break;
+    std::size_t len =
+        kBlockHeaderBytes + nonzero * kDayRecordBytes + (v2 ? 4 : 0);
+    if (in.size() - pos < len) break;
+    pos += len;
+    ++n;
   }
-  Result<LoadResult, StoreError> Finish() {
-    return LoadResult{std::move(store), std::move(stats)};
-  }
-};
+  return n;
+}
 
-// The one decoder for both magics (already consumed by TryLoadStore and
-// folded into r.stream_crc). IPSCOPE2 adds three checks around the shared
-// header and block loop: the coverage bitmap sealed by a header CRC, a
-// CRC per block record, and the footer. A bad header is never
+// The one decoder for both magics. IPSCOPE2 adds three checks around the
+// shared header and block loop: the coverage bitmap sealed by a header
+// CRC, a CRC per block record, and the footer. A bad header is never
 // salvageable: without trustworthy dimensions nothing can be decoded.
-Result<LoadResult, StoreError> Load(Reader& r, bool v2,
-                                    const LoadOptions& options) {
-  std::uint32_t days = 0;
-  if (!r.ReadInt(&days)) return Truncated(r, "day count");
-  if (days == 0 || days > kMaxDays) {
-    return Malformed(r.offset - 4,
-                     "implausible day count " + std::to_string(days));
+// `*consumed` is how far the decode read.
+Result<LoadResult, StoreError> Decode(std::string_view in,
+                                      const LoadOptions& options,
+                                      std::uint64_t* consumed) {
+  if (in.size() < sizeof(kMagicV1)) return Truncated(in, "magic");
+  const bool v1 = std::memcmp(in.data(), kMagicV1, sizeof(kMagicV1)) == 0;
+  const bool v2 = std::memcmp(in.data(), kMagicV2, sizeof(kMagicV2)) == 0;
+  if (!v1 && !v2) {
+    return StoreError{StoreErrorKind::kBadMagic, 0,
+                      "bad magic (not a store file?)"};
   }
-  std::uint64_t blocks = 0;
-  if (!r.ReadInt(&blocks)) return Truncated(r, "block count");
-  if (blocks > kMaxBlocks) {
-    return Malformed(r.offset - 8,
-                     "implausible block count " + std::to_string(blocks));
-  }
+  std::size_t pos = sizeof(kMagicV1);
 
-  LoadContext ctx{activity::ActivityStore{static_cast<int>(days)},
-                  LoadStats{}, options.salvage};
-  ctx.stats.format_version = v2 ? 2 : 1;
-  ctx.stats.blocks_expected = blocks;
+  if (in.size() - pos < 4) return Truncated(in, "day count");
+  const auto days = Get<std::uint32_t>(in.data() + pos);
+  if (days == 0 || days > kMaxDays) {
+    return Malformed(pos, "implausible day count " + std::to_string(days));
+  }
+  pos += 4;
+  if (in.size() - pos < 8) return Truncated(in, "block count");
+  const auto blocks = Get<std::uint64_t>(in.data() + pos);
+  if (blocks > kMaxBlocks) {
+    return Malformed(pos, "implausible block count " + std::to_string(blocks));
+  }
+  pos += 8;
+
+  activity::ActivityStore store{static_cast<int>(days)};
+  LoadStats stats;
+  stats.format_version = v2 ? 2 : 1;
+  stats.blocks_expected = blocks;
+  std::uint32_t stream_crc = kCrc32cInit;
   if (v2) {
     // The header carries its own CRC so that corrupted dimensions are
     // caught before they can misdirect the rest of the parse.
-    std::string coverage((days + 7) / 8, '\0');
-    if (!r.Read(coverage.data(), coverage.size())) {
-      return Truncated(r, "coverage bitmap");
+    const char* coverage = in.data() + pos;
+    const std::size_t coverage_bytes = (days + 7) / 8;
+    if (in.size() - pos < coverage_bytes) {
+      return Truncated(in, "coverage bitmap");
     }
-    std::uint32_t header_crc_expected = r.stream_crc;  // magic..bitmap
-    std::uint32_t header_crc = 0;
-    if (!r.ReadInt(&header_crc)) return Truncated(r, "header checksum");
-    if (header_crc != header_crc_expected) {
-      return StoreError{StoreErrorKind::kChecksumMismatch, r.offset - 4,
+    pos += coverage_bytes;
+    if (in.size() - pos < 4) return Truncated(in, "header checksum");
+    const std::uint32_t header_crc = Crc32c(in.data(), pos);
+    if (Get<std::uint32_t>(in.data() + pos) != header_crc) {
+      return StoreError{StoreErrorKind::kChecksumMismatch, pos,
                         "header checksum mismatch"};
     }
+    pos += 4;
+    stream_crc = Crc32c(in.data(), pos);
     for (std::uint32_t d = 0; d < days; ++d) {
       bool covered =
           (static_cast<unsigned char>(coverage[d / 8]) >> (d % 8)) & 1;
-      if (!covered) ctx.store.SetDayCovered(static_cast<int>(d), false);
+      if (!covered) store.SetDayCovered(static_cast<int>(d), false);
     }
   }
 
-  std::uint32_t prev_key = 0;
-  std::string rec;
+  // Every block's rows go into one day-major arena the store adopts once,
+  // after the loop — also on a salvage stop, which keeps the prefix read
+  // so far. A block whose day list fails validation keeps the rows before
+  // the bad entry, exactly as the key had already been installed.
+  std::vector<net::BlockKey> keys;
+  std::vector<activity::DayBits> arena;
+  const std::uint64_t capacity = CompleteRecords(in, pos, blocks, days, v2);
+  keys.reserve(capacity);
+  arena.reserve(capacity * days);
+  auto finish = [&](std::optional<StoreError> error)
+      -> Result<LoadResult, StoreError> {
+    *consumed = pos;
+    if (error && !options.salvage) return *std::move(error);
+    std::vector<std::size_t> offsets(keys.size());
+    for (std::size_t i = 0; i < offsets.size(); ++i) offsets[i] = i * days;
+    store.AdoptArena(std::move(keys), std::move(arena), offsets);
+    if (error) {
+      stats.complete = false;
+      stats.blocks_salvaged = stats.blocks_loaded;
+      stats.error = std::move(error);
+    }
+    return LoadResult{std::move(store), std::move(stats)};
+  };
+
   {
     // Sub-span: the block loop dominates load time; the header and footer
     // are a few dozen bytes each, so this is the phase worth attributing.
     obs::Span blocks_span{"io.store.load.blocks_seconds"};
+    std::uint32_t prev_key = 0;
     for (std::uint64_t b = 0; b < blocks; ++b) {
       // `base` is the absolute offset of the record, for error reporting.
-      std::uint64_t base = r.offset;
-      rec.resize(8);
-      if (!r.Read(rec.data(), 8)) {
-        return ctx.Fail(Truncated(r, "block header"));
+      const std::size_t base = pos;
+      if (in.size() - base < kBlockHeaderBytes) {
+        return finish(Truncated(in, "block header"));
       }
-      auto key = ParseInt<std::uint32_t>(rec.data());
-      auto nonzero = ParseInt<std::uint32_t>(rec.data() + 4);
+      const char* rec = in.data() + base;
+      const auto key = Get<std::uint32_t>(rec);
+      const auto nonzero = Get<std::uint32_t>(rec + 4);
       if (nonzero > days) {
-        return ctx.Fail(Malformed(
+        return finish(Malformed(
             base + 4, "day list length " + std::to_string(nonzero) +
                           " exceeds day count " + std::to_string(days)));
       }
-      rec.resize(8 + nonzero * kDayRecordBytes);
-      if (!r.Read(rec.data() + 8, rec.size() - 8)) {
-        return ctx.Fail(Truncated(r, "block payload"));
+      const std::size_t rec_bytes =
+          kBlockHeaderBytes + nonzero * kDayRecordBytes;
+      if (in.size() - base < rec_bytes) {
+        return finish(Truncated(in, "block payload"));
       }
       if (v2) {
-        std::uint32_t block_crc = 0;
-        if (!r.ReadInt(&block_crc)) {
-          return ctx.Fail(Truncated(r, "block checksum"));
+        if (in.size() - base - rec_bytes < 4) {
+          return finish(Truncated(in, "block checksum"));
         }
-        if (block_crc != Crc32c(rec.data(), rec.size())) {
-          return ctx.Fail(StoreError{
+        if (Get<std::uint32_t>(rec + rec_bytes) != Crc32c(rec, rec_bytes)) {
+          return finish(StoreError{
               StoreErrorKind::kChecksumMismatch, base,
               "block " + std::to_string(b) + " checksum mismatch"});
         }
+        // Fold the record into the stream CRC while it is in cache.
+        stream_crc = Crc32cExtend(stream_crc, rec, rec_bytes + 4);
       }
       if (key >= (1u << 24)) {
-        return ctx.Fail(Malformed(base, "block key " + std::to_string(key) +
-                                            " out of /24 keyspace"));
+        return finish(Malformed(base, "block key " + std::to_string(key) +
+                                          " out of /24 keyspace"));
       }
       if (b > 0 && key <= prev_key) {
-        return ctx.Fail(Malformed(
+        return finish(Malformed(
             base, "block keys out of order (" + std::to_string(key) +
                       " after " + std::to_string(prev_key) + ")"));
       }
       prev_key = key;
-      activity::ActivityMatrix& m = ctx.store.GetOrCreate(key);
+      keys.push_back(key);
+      arena.resize(arena.size() + days);
+      activity::DayBits* rows = arena.data() + arena.size() - days;
       int prev_day = -1;
-      const char* p = rec.data() + 8;
-      for (std::uint32_t i = 0; i < nonzero; ++i) {
-        std::uint64_t day_off = base + 8 + i * kDayRecordBytes;
-        auto day = ParseInt<std::uint16_t>(p);
+      const char* p = rec + kBlockHeaderBytes;
+      for (std::uint32_t i = 0; i < nonzero; ++i, p += kDayRecordBytes) {
+        const auto day = Get<std::uint16_t>(p);
         if (day >= days || static_cast<int>(day) <= prev_day) {
-          return ctx.Fail(
-              Malformed(day_off, "invalid day index " + std::to_string(day)));
+          return finish(Malformed(base + kBlockHeaderBytes +
+                                      i * kDayRecordBytes,
+                                  "invalid day index " + std::to_string(day)));
         }
-        if (!ctx.store.DayCovered(day)) {
-          return ctx.Fail(Malformed(day_off,
-                                    "activity recorded on uncovered day " +
-                                        std::to_string(day)));
+        if (!store.DayCovered(day)) {
+          return finish(Malformed(
+              base + kBlockHeaderBytes + i * kDayRecordBytes,
+              "activity recorded on uncovered day " + std::to_string(day)));
         }
         prev_day = day;
-        p += 2;
-        for (auto& word : m.Row(day)) {
-          word = ParseInt<std::uint64_t>(p);
-          p += 8;
+        activity::DayBits& row = rows[day];
+        for (std::size_t w = 0; w < row.size(); ++w) {
+          row[w] = Get<std::uint64_t>(p + 2 + 8 * w);
         }
       }
-      ++ctx.stats.blocks_loaded;
+      pos = base + rec_bytes + (v2 ? 4 : 0);
+      ++stats.blocks_loaded;
     }
   }
-  if (!v2) return ctx.Finish();
+  if (!v2) return finish(std::nullopt);
 
   // Footer: magic + block-count echo, then the whole-stream CRC over every
   // preceding byte. A failure here with salvage on keeps the blocks — each
   // was individually checksummed, so they are intact even if the tail of
   // the file is not.
-  char footer[12];
-  std::uint64_t footer_base = r.offset;
-  if (!r.Read(footer, sizeof(footer))) return ctx.Fail(Truncated(r, "footer"));
+  const std::size_t footer_base = pos;
+  if (in.size() - pos < 12) return finish(Truncated(in, "footer"));
+  const char* footer = in.data() + pos;
   if (std::memcmp(footer, kFooterMagic, sizeof(kFooterMagic)) != 0) {
-    return ctx.Fail(Malformed(footer_base, "bad footer magic"));
+    return finish(Malformed(footer_base, "bad footer magic"));
   }
-  auto echo = ParseInt<std::uint64_t>(footer + 4);
+  const auto echo = Get<std::uint64_t>(footer + 4);
   if (echo != blocks) {
-    return ctx.Fail(Malformed(
+    return finish(Malformed(
         footer_base + 4, "footer block count " + std::to_string(echo) +
                              " does not match header " +
                              std::to_string(blocks)));
   }
-  std::uint32_t stream_crc_expected = r.stream_crc;
-  std::uint32_t stream_crc = 0;
-  if (!r.ReadInt(&stream_crc)) return ctx.Fail(Truncated(r, "stream checksum"));
-  if (stream_crc != stream_crc_expected) {
-    return ctx.Fail(StoreError{StoreErrorKind::kChecksumMismatch,
-                               r.offset - 4, "stream checksum mismatch"});
+  stream_crc = Crc32cExtend(stream_crc, footer, 12);
+  pos += 12;
+  if (in.size() - pos < 4) return finish(Truncated(in, "stream checksum"));
+  if (Get<std::uint32_t>(in.data() + pos) != stream_crc) {
+    return finish(StoreError{StoreErrorKind::kChecksumMismatch, pos,
+                             "stream checksum mismatch"});
   }
-  return ctx.Finish();
+  pos += 4;
+  return finish(std::nullopt);
 }
 
 }  // namespace
@@ -276,91 +362,71 @@ void SaveStore(const activity::ActivityStore& store, std::ostream& os) {
   obs::Span span{"io.store.save_seconds"};
   std::uint64_t bytes_written = 0;
   std::uint32_t stream_crc = kCrc32cInit;
-  auto emit = [&](const std::string& buf) {
+  std::string buf(HeaderBytes(store.days()), '\0');
+  auto emit = [&] {
     os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     stream_crc = Crc32cExtend(stream_crc, buf.data(), buf.size());
     bytes_written += buf.size();
   };
-
-  {
-    obs::Span header_span{"io.store.save.header_seconds"};
-    std::string buf;
-    buf.append(kMagicV2, 8);
-    AppendInt<std::uint32_t>(buf, static_cast<std::uint32_t>(store.days()));
-    AppendInt<std::uint64_t>(buf, store.BlockCount());
-    std::string coverage((static_cast<std::size_t>(store.days()) + 7) / 8,
-                         '\0');
-    for (int d = 0; d < store.days(); ++d) {
-      if (store.DayCovered(d)) {
-        coverage[static_cast<std::size_t>(d / 8)] |=
-            static_cast<char>(1 << (d % 8));
-      }
-    }
-    buf += coverage;
-    AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
-    emit(buf);
-  }
-
-  {
-    obs::Span blocks_span{"io.store.save.blocks_seconds"};
-    std::string buf;
-    store.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
-      buf.clear();
-      AppendBlockRecord(buf, key, m);
-      AppendInt<std::uint32_t>(buf, Crc32c(buf.data(), buf.size()));
-      emit(buf);
-    });
-  }
-
-  {
-    obs::Span footer_span{"io.store.save.footer_seconds"};
-    std::string buf;
-    buf.append(kFooterMagic, sizeof(kFooterMagic));
-    AppendInt<std::uint64_t>(buf, store.BlockCount());
-    emit(buf);  // folds the footer magic + echo into the stream CRC
-    buf.clear();
-    AppendInt<std::uint32_t>(buf, stream_crc);
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    bytes_written += buf.size();
-  }
+  EncodeHeader(buf.data(), store);
+  emit();
+  store.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
+    const std::uint32_t nonzero = NonEmptyDays(m);
+    buf.resize(RecordBytes(nonzero));
+    EncodeBlock(buf.data(), key, m, nonzero);
+    emit();
+  });
+  buf.resize(kFooterBytes);
+  EncodeFooter(buf.data(), store.BlockCount(), stream_crc);
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  bytes_written += buf.size();
   if (!os) {
     throw std::runtime_error(
         StoreError{StoreErrorKind::kWriteFailed, bytes_written, "write failed"}
             .ToString());
   }
-
-  double seconds = std::max(span.Stop(), 1e-9);
-  auto& registry = obs::GlobalRegistry();
-  registry.GetCounter("io.store.saves").Add(1);
-  registry.GetCounter("io.store.save_bytes").Add(bytes_written);
-  registry.GetGauge("io.store.save_mb_per_s")
-      .Set(static_cast<double>(bytes_written) / 1e6 / seconds);
+  RecordSave(bytes_written, span);
 }
 
-Result<LoadResult, StoreError> TryLoadStore(std::istream& is,
-                                            const LoadOptions& options) {
-  obs::Span span{"io.store.load_seconds"};
-  Reader r{is};
-  char magic[8];
-  if (!r.Read(magic, sizeof(magic))) {
-    return Truncated(r, "magic");
+std::string StoreBytes(const activity::ActivityStore& store) {
+  obs::Span span{"io.store.save_seconds"};
+  std::vector<std::uint32_t> nonzero(store.BlockCount());
+  std::size_t size = HeaderBytes(store.days()) + kFooterBytes;
+  for (std::size_t i = 0; i < nonzero.size(); ++i) {
+    nonzero[i] = NonEmptyDays(store.MatrixAt(i));
+    size += RecordBytes(nonzero[i]);
   }
-  const bool v1 = std::memcmp(magic, kMagicV1, sizeof(magic)) == 0;
-  const bool v2 = std::memcmp(magic, kMagicV2, sizeof(magic)) == 0;
-  Result<LoadResult, StoreError> result =
-      v1 || v2 ? Load(r, v2, options)
-               : Result<LoadResult, StoreError>{StoreError{
-                     StoreErrorKind::kBadMagic, 0,
-                     "bad magic (not a store file?)"}};
+  std::string out(size, '\0');
+  char* p = EncodeHeader(out.data(), store);
+  std::uint32_t stream_crc =
+      Crc32c(out.data(), static_cast<std::size_t>(p - out.data()));
+  for (std::size_t i = 0; i < nonzero.size(); ++i) {
+    char* end = EncodeBlock(p, store.KeyAt(i), store.MatrixAt(i), nonzero[i]);
+    // The record is still in cache: fold it into the stream CRC now.
+    stream_crc =
+        Crc32cExtend(stream_crc, p, static_cast<std::size_t>(end - p));
+    p = end;
+  }
+  p = EncodeFooter(p, store.BlockCount(), stream_crc);
+  assert(p == out.data() + out.size());
+  RecordSave(out.size(), span);
+  return out;
+}
+
+Result<LoadResult, StoreError> TryLoadStoreBytes(std::string_view bytes,
+                                                 const LoadOptions& options) {
+  obs::Span span{"io.store.load_seconds"};
+  std::uint64_t consumed = 0;
+  Result<LoadResult, StoreError> result = Decode(bytes, options, &consumed);
 
   double seconds = std::max(span.Stop(), 1e-9);
   auto& registry = obs::GlobalRegistry();
   if (result.ok()) {
     const LoadStats& stats = result.value().stats;
     registry.GetCounter("io.store.loads").Add(1);
-    registry.GetCounter("io.store.load_bytes").Add(r.offset);
+    registry.GetCounter("io.store.load_bytes").Add(consumed);
     registry.GetGauge("io.store.load_mb_per_s")
-        .Set(static_cast<double>(r.offset) / 1e6 / seconds);
+        .Set(static_cast<double>(consumed) / 1e6 / seconds);
     if (!stats.complete) {
       registry.GetCounter("io.store.salvaged_loads").Add(1);
       registry.GetCounter("io.store.blocks_salvaged")
@@ -374,10 +440,14 @@ Result<LoadResult, StoreError> TryLoadStore(std::istream& is,
   return result;
 }
 
-std::string StoreBytes(const activity::ActivityStore& store) {
-  std::ostringstream os{std::ios::binary};
-  SaveStore(store, os);
-  return std::move(os).str();
+Result<LoadResult, StoreError> TryLoadStore(std::istream& is,
+                                            const LoadOptions& options) {
+  std::string bytes;
+  char chunk[1 << 16];
+  while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0) {
+    bytes.append(chunk, static_cast<std::size_t>(is.gcount()));
+  }
+  return TryLoadStoreBytes(bytes, options);
 }
 
 void SaveStoreFile(const activity::ActivityStore& store,
@@ -395,14 +465,17 @@ void SaveStoreFile(const activity::ActivityStore& store,
 
 Result<LoadResult, StoreError> TryLoadStoreFile(const std::string& path,
                                                 const LoadOptions& options) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) {
-    const int err = errno;
-    return StoreError{StoreErrorKind::kOpenFailed, 0,
-                      "cannot open for reading: " + path + " (" +
-                          std::strerror(err) + ")"};
+  auto read = ReadWholeFile(path);
+  if (!read.ok()) {
+    const ReadFileError& error = read.error();
+    return StoreError{
+        StoreErrorKind::kOpenFailed, 0,
+        error.stage == "open"
+            ? "cannot open for reading: " + path + " (" +
+                  std::strerror(error.error_number) + ")"
+            : error.message};
   }
-  return TryLoadStore(is, options);
+  return TryLoadStoreBytes(read.value(), options);
 }
 
 }  // namespace ipscope::io

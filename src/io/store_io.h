@@ -38,7 +38,21 @@
 // TryLoadStore with salvage=true recovers all intact blocks up to the
 // first truncated/corrupt record instead of failing outright.
 //
-// Loads never throw on bad input: TryLoadStore and TryLoadStoreFile return
+// One buffer, one decoder, one arena. StoreBytes sizes the IPSCOPE2 image
+// exactly (header + Σ(8 + 34·non-empty days + 4) + footer), encodes every
+// block straight into that one buffer, and folds each block's CRC and the
+// stream CRC in while the record is still in cache; SaveStoreFile hands
+// the buffer to WriteFileAtomic. SaveStore(ostream) runs the same block
+// encoder through a small reused buffer, so streaming never holds a whole
+// image. Every load is TryLoadStoreBytes: one pass over the bytes that
+// decodes each block's rows into a single contiguous DayBits arena the
+// returned store adopts (ActivityStore::AdoptArena) — TryLoadStoreFile
+// reads the file into one buffer first, TryLoadStore drains its stream.
+// Nothing here runs on the thread pool: ingest::Session::Append encodes
+// shards inside chaos-crash's forked child, where pool threads do not
+// exist.
+//
+// Loads never throw on bad input: every loader returns
 // ipscope::Result<LoadResult, StoreError>, a typed error with kind and
 // absolute byte offset whose ToString() is the operator-facing message.
 // Saves throw std::runtime_error carrying a kWriteFailed StoreError
@@ -49,6 +63,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "activity/store.h"
 #include "io/result.h"
@@ -80,20 +95,27 @@ struct LoadResult {
   LoadStats stats;
 };
 
-// Serializes `store` as IPSCOPE2.
+// Serializes `store` as IPSCOPE2, one block record at a time.
 void SaveStore(const activity::ActivityStore& store, std::ostream& os);
 
-// SaveStore into a string: the exact bytes a store file would hold.
+// The exact bytes a store file holds, encoded into one exactly-sized
+// buffer (the same bytes SaveStore streams).
 std::string StoreBytes(const activity::ActivityStore& store);
 
-// Strict or salvaging load; dispatches on the magic, accepting both
-// formats.
+// Strict or salvaging load of a whole store image; dispatches on the
+// magic, accepting both formats. Truncation errors report the offset
+// where `bytes` ends.
+[[nodiscard]] Result<LoadResult, StoreError> TryLoadStoreBytes(
+    std::string_view bytes, const LoadOptions& options = {});
+
+// TryLoadStoreBytes over everything `is` yields.
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStore(
     std::istream& is, const LoadOptions& options = {});
 
-// File-path conveniences (binary mode). SaveStoreFile commits through
-// WriteFileAtomic. Open failures come back as StoreErrorKind::kOpenFailed
-// with errno/strerror detail.
+// File-path conveniences. SaveStoreFile commits StoreBytes through
+// WriteFileAtomic; TryLoadStoreFile is ReadWholeFile + TryLoadStoreBytes.
+// A file that cannot be opened or read comes back as
+// StoreErrorKind::kOpenFailed with errno/strerror detail.
 void SaveStoreFile(const activity::ActivityStore& store,
                    const std::string& path);
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStoreFile(

@@ -84,6 +84,10 @@ ReputationEvaluation EvaluateReputationPolicy(const cdn::Observatory& daily,
                               policy == TtlPolicy::kPatternReset;
   activity::ActivityStore store{1};
   if (needs_training) store = daily.BuildStore();
+  const int train_covered =
+      needs_training
+          ? store.CoveredDaysIn(config.train_first, config.train_last)
+          : 0;
 
   ReputationStore blocklist;
   for (const sim::BlockPlan& plan : world.blocks()) {
@@ -101,7 +105,8 @@ ReputationEvaluation EvaluateReputationPolicy(const cdn::Observatory& daily,
       const activity::ActivityMatrix* m = store.Find(key);
       if (m != nullptr) {
         auto features = activity::ComputeFeatures(
-            SubMatrix(*m, config.train_first, config.train_last));
+            SubMatrix(*m, config.train_first, config.train_last),
+            train_covered);
         ttl = PatternTtlDays(activity::ClassifyPattern(features));
         if (policy == TtlPolicy::kPatternReset) {
           // Locate the month boundary with the largest STU swing; if it is

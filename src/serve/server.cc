@@ -165,7 +165,8 @@ void AnswerPoint(std::string& out, const activity::ActivityStore& store,
     out += "]}";
     return;
   }
-  auto features = activity::ComputeFeatures(*matrix);
+  auto features = activity::ComputeFeatures(
+      *matrix, store.CoveredDaysIn(0, store.days()));
   out += R"("result": {"present": true, "fd": )";
   AppendInt(out, features.filling_degree);
   out += R"(, "stu": )";
@@ -347,11 +348,12 @@ void AnswerPatterns(std::string& out, const activity::ActivityStore& store,
   }
   constexpr int kPatterns = 6;  // BlockPattern enumerators
   using Counts = std::array<std::int64_t, kPatterns>;
+  const int covered = store.CoveredDaysIn(0, store.days());
   Counts counts = par::ParallelReduce(
       lo, hi, Counts{},
-      [&store](Counts& acc, std::size_t first, std::size_t last) {
+      [&store, covered](Counts& acc, std::size_t first, std::size_t last) {
         for (std::size_t i = first; i < last; ++i) {
-          auto p = activity::ClassifyPattern(store.MatrixAt(i));
+          auto p = activity::ClassifyPattern(store.MatrixAt(i), covered);
           ++acc[static_cast<std::size_t>(p)];
         }
       },

@@ -62,13 +62,13 @@ ActivityMatrix Gateway() {
 
 TEST(Pattern, FeaturesOfEmptyMatrix) {
   ActivityMatrix m{kDays};
-  auto f = ComputeFeatures(m);
+  auto f = ComputeFeatures(m, kDays);
   EXPECT_EQ(f.filling_degree, 0);
   EXPECT_EQ(ClassifyPattern(f), BlockPattern::kInactive);
 }
 
 TEST(Pattern, GatewayFeatures) {
-  auto f = ComputeFeatures(Gateway());
+  auto f = ComputeFeatures(Gateway(), kDays);
   EXPECT_EQ(f.filling_degree, 256);
   EXPECT_DOUBLE_EQ(f.stu, 1.0);
   EXPECT_DOUBLE_EQ(f.daily_fill, 1.0);
@@ -76,14 +76,29 @@ TEST(Pattern, GatewayFeatures) {
   EXPECT_EQ(ClassifyPattern(f), BlockPattern::kFullyUtilized);
 }
 
+TEST(Pattern, FullyUpOnEveryCoveredDayIsFullyUtilized) {
+  // 4 of 112 days (3.6%) were never observed: their rows are empty by the
+  // store's coverage invariant. Every address up on every observed day is
+  // the gateway signature, whatever the outage.
+  ActivityMatrix m = Gateway();
+  for (int d : {10, 40, 41, 90}) m.Row(d) = DayBits{};
+  auto f = ComputeFeatures(m, kDays - 4);
+  EXPECT_DOUBLE_EQ(f.stu, 1.0);
+  EXPECT_DOUBLE_EQ(f.daily_fill, 1.0);
+  EXPECT_EQ(ClassifyPattern(f), BlockPattern::kFullyUtilized);
+  // Read against all 112 days, the same block looks 96% utilized.
+  EXPECT_EQ(ClassifyPattern(ComputeFeatures(m, kDays)),
+            BlockPattern::kDynamicShortLease);
+}
+
 TEST(Pattern, StaticSparseClassification) {
-  auto f = ComputeFeatures(StaticSparse());
+  auto f = ComputeFeatures(StaticSparse(), kDays);
   EXPECT_LT(f.filling_degree, 64);
   EXPECT_EQ(ClassifyPattern(f), BlockPattern::kStaticSparse);
 }
 
 TEST(Pattern, DenseShortLeaseClassification) {
-  auto f = ComputeFeatures(DenseShortLease());
+  auto f = ComputeFeatures(DenseShortLease(), kDays);
   EXPECT_GT(f.filling_degree, 250);
   // Re-dealt pool: every address gets a near-identical activity share.
   EXPECT_LT(f.host_days_cv, 0.25);
@@ -91,7 +106,7 @@ TEST(Pattern, DenseShortLeaseClassification) {
 }
 
 TEST(Pattern, LongLeaseClassification) {
-  auto f = ComputeFeatures(LongLease());
+  auto f = ComputeFeatures(LongLease(), kDays);
   EXPECT_GT(f.filling_degree, 100);
   // Heterogeneous occupants spread per-address activity widely.
   EXPECT_GT(f.host_days_cv, 0.25);
@@ -101,7 +116,7 @@ TEST(Pattern, LongLeaseClassification) {
 TEST(Pattern, FeatureRanges) {
   for (const ActivityMatrix& m :
        {StaticSparse(), DenseShortLease(), LongLease(), Gateway()}) {
-    auto f = ComputeFeatures(m);
+    auto f = ComputeFeatures(m, kDays);
     EXPECT_GE(f.stu, 0.0);
     EXPECT_LE(f.stu, 1.0);
     EXPECT_GE(f.daily_fill, 0.0);

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -19,13 +20,38 @@
 namespace ipscope::cli {
 namespace {
 
+// Every file these tests write goes into one directory per test process
+// (ctest runs each test in its own, possibly concurrent, process, so the
+// name carries the pid), removed when the process's tests are done.
+std::string ProcessDir() {
+  return ::testing::TempDir() + "/ipscope_cli_test." +
+         std::to_string(getpid());
+}
+
+class ProcessDirCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(ProcessDir(), ec);
+  }
+};
+
+[[maybe_unused]] ::testing::Environment* const kProcessDirCleanup =
+    ::testing::AddGlobalTestEnvironment(new ProcessDirCleanup);
+
+// `name` inside ProcessDir(), creating the directory on first use.
+std::string TestPath(const std::string& name) {
+  static const std::string dir = [] {
+    std::filesystem::create_directories(ProcessDir());
+    return ProcessDir();
+  }();
+  return dir + "/" + name;
+}
+
 std::string DatasetPath() {
-  // Generate a small shared dataset once per process. ctest runs each test
-  // in its own (possibly concurrent) process, so the path must be unique
-  // per pid to avoid read/write races on the file.
+  // Generate a small shared dataset once per process.
   static const std::string path = [] {
-    std::string p = ::testing::TempDir() + "/ipscope_cli_test." +
-                    std::to_string(getpid()) + ".bin";
+    std::string p = TestPath("dataset.bin");
     std::ostringstream out, err;
     int rc = Main({"generate", "--blocks", "200", "--seed", "5", "--out", p},
                   out, err);
@@ -93,7 +119,7 @@ TEST(Cli, SummaryMissingFileFails) {
 // before loading — so each one reaches the load.
 std::vector<std::vector<std::string>> StoreReadingCommands(
     const std::string& path) {
-  std::string outdir = ::testing::TempDir();
+  std::string outdir = TestPath("export");
   return {{"summary", path},
           {"churn", path},
           {"blocks", path},
@@ -120,8 +146,7 @@ TEST(Cli, TruncatedStoreFilePrintsTypedErrorAndExitsOne) {
   std::ifstream in{DatasetPath(), std::ios::binary};
   std::string bytes{std::istreambuf_iterator<char>(in), {}};
   ASSERT_GT(bytes.size(), 1000u);
-  const std::string path = ::testing::TempDir() + "/ipscope_cli_cut." +
-                           std::to_string(getpid()) + ".bin";
+  const std::string path = TestPath("cut.bin");
   std::ofstream{path, std::ios::binary} << bytes.substr(0, 1000);
   const std::string prefix =
       "error: ipscope store: truncated input while reading ";
@@ -232,8 +257,7 @@ TEST(Cli, RenderKnownBlock) {
 // 0-1, days 2-3 never observed ("no data", not "all down").
 std::string GappedDatasetPath() {
   static const std::string path = [] {
-    std::string p = ::testing::TempDir() + "/ipscope_cli_gapped." +
-                    std::to_string(getpid()) + ".bin";
+    std::string p = TestPath("gapped.bin");
     activity::ActivityStore store{4};
     activity::ActivityMatrix& m =
         store.GetOrCreate(net::BlockKeyOf(net::IPv4Addr{0, 0, 1, 0}));
@@ -271,6 +295,32 @@ TEST(Cli, RenderAndBlocksAgreeOnCoverageAwareStu) {
       << render.str();
 }
 
+TEST(Cli, FullyUpBlockOnGappedStoreIsFullyUtilized) {
+  // 28 days, 2 of them (7%) never observed; 0.0.2.0/24 has every address
+  // up on each of the 26 observed days. Every view of its pattern must
+  // read it as fully utilized, not as a 93%-utilized pool.
+  const std::string path = TestPath("gapped_gateway.bin");
+  activity::ActivityStore store{28};
+  activity::ActivityMatrix& m =
+      store.GetOrCreate(net::BlockKeyOf(net::IPv4Addr{0, 0, 2, 0}));
+  for (int day = 0; day < 28; ++day) {
+    for (int host = 0; host < 256; ++host) m.Set(day, host);
+  }
+  store.SetDayCovered(13, false);
+  store.SetDayCovered(27, false);
+  io::SaveStoreFile(store, path);
+
+  std::ostringstream render, blocks, err;
+  ASSERT_EQ(Main({"render", path, "--block", "0.0.2.0/24"}, render, err), 0)
+      << err.str();
+  EXPECT_NE(render.str().find("STU=1.00 pattern=fully-utilized\n"),
+            std::string::npos)
+      << render.str();
+  ASSERT_EQ(Main({"blocks", path}, blocks, err), 0) << err.str();
+  EXPECT_NE(blocks.str().find("fully-utilized"), std::string::npos)
+      << blocks.str();
+}
+
 TEST(Cli, EventsHistogram) {
   std::ostringstream out, err;
   EXPECT_EQ(Main({"events", DatasetPath(), "--window", "28"}, out, err), 0)
@@ -302,7 +352,8 @@ TEST(Cli, HitlistRejectsUnknownStrategy) {
 }
 
 TEST(Cli, ExportWritesCsvFiles) {
-  std::string dir = ::testing::TempDir();
+  std::string dir = TestPath("export");
+  std::filesystem::create_directories(dir);
   std::ostringstream out, err;
   EXPECT_EQ(Main({"export", DatasetPath(), "--outdir", dir}, out, err), 0)
       << err.str();
@@ -353,10 +404,8 @@ TEST(Cli, MalformedIntFlagFails) {
 }
 
 TEST(Cli, ProfileRunsPipelineAndWritesMetrics) {
-  std::string metrics = ::testing::TempDir() + "/ipscope_cli_metrics." +
-                        std::to_string(getpid()) + ".json";
-  std::string trace = ::testing::TempDir() + "/ipscope_cli_trace." +
-                      std::to_string(getpid()) + ".json";
+  std::string metrics = TestPath("metrics.json");
+  std::string trace = TestPath("trace.json");
   std::ostringstream out, err;
   ASSERT_EQ(Main({"profile", "--blocks", "150", "--metrics-out", metrics,
                   "--trace-out", trace},
@@ -385,8 +434,7 @@ TEST(Cli, ProfileRunsPipelineAndWritesMetrics) {
 }
 
 TEST(Cli, WeeklyGeneration) {
-  std::string path = ::testing::TempDir() + "/ipscope_cli_weekly." +
-                     std::to_string(getpid()) + ".bin";
+  std::string path = TestPath("weekly.bin");
   std::ostringstream out, err;
   ASSERT_EQ(Main({"generate", "--blocks", "100", "--weekly", "--out", path},
                  out, err),

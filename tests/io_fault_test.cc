@@ -4,7 +4,11 @@
 // re-loaded after *any* single-byte corruption or *any* truncation, must
 // yield a typed StoreError (strict mode) or an intact salvaged prefix
 // (salvage mode) — never a crash, never silently wrong data.
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -322,6 +326,97 @@ TEST(IoFault, OpenFailureCarriesErrnoDetail) {
   EXPECT_EQ(result.error().kind, StoreErrorKind::kOpenFailed);
   EXPECT_NE(result.error().message.find("No such file"), std::string::npos)
       << result.error().message;
+}
+
+// Exact IPSCOPE2 image size of `store`, from the independent layout.
+std::uint64_t ExactImageBytes(const activity::ActivityStore& store) {
+  const Layout layout = LayoutOf(store);
+  const std::uint64_t blocks_end =
+      layout.block_ends.empty() ? layout.header_end : layout.block_ends.back();
+  return blocks_end + 4 + 8 + 4;  // footer: "END2", count echo, stream CRC
+}
+
+// Two load results are the same: both fail with the same kind, offset and
+// message, or both succeed with the same stats and a bit-identical store
+// (dimensions, coverage, keys and every row).
+void ExpectSameLoad(const Result<LoadResult, StoreError>& a,
+                    const Result<LoadResult, StoreError>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.ok(), b.ok()) << what;
+  if (!a.ok()) {
+    EXPECT_EQ(a.error().kind, b.error().kind) << what;
+    EXPECT_EQ(a.error().offset, b.error().offset) << what;
+    EXPECT_EQ(a.error().message, b.error().message) << what;
+    return;
+  }
+  const LoadStats& sa = a.value().stats;
+  const LoadStats& sb = b.value().stats;
+  EXPECT_EQ(sa.format_version, sb.format_version) << what;
+  EXPECT_EQ(sa.blocks_expected, sb.blocks_expected) << what;
+  EXPECT_EQ(sa.blocks_loaded, sb.blocks_loaded) << what;
+  EXPECT_EQ(sa.blocks_salvaged, sb.blocks_salvaged) << what;
+  EXPECT_EQ(sa.complete, sb.complete) << what;
+  ASSERT_EQ(sa.error.has_value(), sb.error.has_value()) << what;
+  if (sa.error) {
+    EXPECT_EQ(sa.error->ToString(), sb.error->ToString()) << what;
+  }
+  const activity::ActivityStore& x = a.value().store;
+  const activity::ActivityStore& y = b.value().store;
+  ASSERT_EQ(x.days(), y.days()) << what;
+  for (int d = 0; d < x.days(); ++d) {
+    EXPECT_EQ(x.DayCovered(d), y.DayCovered(d)) << what << " day " << d;
+  }
+  ASSERT_EQ(x.BlockCount(), y.BlockCount()) << what;
+  for (std::size_t i = 0; i < x.BlockCount(); ++i) {
+    ASSERT_EQ(x.KeyAt(i), y.KeyAt(i)) << what;
+    EXPECT_TRUE(RowsEqual(x.MatrixAt(i), y.MatrixAt(i), x.days()))
+        << what << " block " << x.KeyAt(i);
+  }
+}
+
+// Every damaged image of the gapped sweep store — each truncation and
+// each single-byte flip — loads identically through the stream wrapper,
+// the byte decoder and the file loader, strict and salvaging; and every
+// store a load returns re-encodes to exactly its precomputed size.
+TEST(IoFault, AllLoadersAgreeOnEveryTruncationAndFlip) {
+  auto store = SweepStore();
+  store.SetDayCovered(2, false);
+  store.SetDayCovered(7, false);
+  const std::string bytes = StoreBytes(store);
+  ASSERT_EQ(bytes.size(), ExactImageBytes(store));
+  const std::string path = ::testing::TempDir() + "/ipscope_io_equiv." +
+                           std::to_string(getpid()) + ".bin";
+
+  std::vector<std::pair<std::string, std::string>> images;
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    images.emplace_back("cut at " + std::to_string(cut), bytes.substr(0, cut));
+  }
+  for (std::size_t off = 0; off < bytes.size(); ++off) {
+    std::string flipped = bytes;
+    flipped[off] ^= '\x5A';
+    images.emplace_back("flip at " + std::to_string(off), std::move(flipped));
+  }
+  images.emplace_back("intact", bytes);
+
+  for (bool salvage : {false, true}) {
+    const LoadOptions options{.salvage = salvage};
+    for (const auto& [name, image] : images) {
+      const std::string what =
+          name + (salvage ? " (salvage)" : " (strict)");
+      std::stringstream is{image};
+      auto from_stream = TryLoadStore(is, options);
+      auto from_bytes = TryLoadStoreBytes(image, options);
+      std::ofstream{path, std::ios::binary | std::ios::trunc} << image;
+      auto from_file = TryLoadStoreFile(path, options);
+      ExpectSameLoad(from_bytes, from_stream, what + " stream");
+      ExpectSameLoad(from_bytes, from_file, what + " file");
+      if (from_bytes.ok()) {
+        const activity::ActivityStore& loaded = from_bytes.value().store;
+        EXPECT_EQ(StoreBytes(loaded).size(), ExactImageBytes(loaded)) << what;
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

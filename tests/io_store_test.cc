@@ -4,9 +4,12 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "cdn/observatory.h"
+#include "io/crc32c.h"
 #include "rng/rng.h"
 #include "sim/world.h"
 #include "store_v1_encoder.h"
@@ -131,6 +134,7 @@ TEST(StoreIo, FileRoundTrip) {
                      std::to_string(getpid()) + ".bin";
   SaveStoreFile(store, path);
   auto loaded = TryLoadStoreFile(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
   EXPECT_TRUE(StoresEqual(store, loaded.value().store));
 }
@@ -153,6 +157,44 @@ TEST(StoreIo, CompressionSkipsEmptyDays) {
   SaveStore(store, v2);
   EXPECT_LT(test_bytes::EncodeV1(store).size(), 100u);
   EXPECT_LT(v2.str().size(), 250u);
+}
+
+// RFC 3720 appendix B.4 check values, for the dispatched implementation
+// and the portable table alike.
+TEST(Crc32c, KnownAnswersFromRfc3720) {
+  const std::string digits = "123456789";
+  const std::string zeros(32, '\x00');
+  const std::string ones(32, '\xFF');
+  for (auto* extend : {&Crc32cExtend, &Crc32cExtendPortable}) {
+    EXPECT_EQ(extend(kCrc32cInit, digits.data(), digits.size()), 0xE3069283u);
+    EXPECT_EQ(extend(kCrc32cInit, zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(extend(kCrc32cInit, ones.data(), ones.size()), 0x62A8AB43u);
+  }
+  EXPECT_EQ(Crc32c(digits.data(), digits.size()), 0xE3069283u);
+}
+
+// The dispatched path must agree with the portable oracle for every length
+// 0-1024 at every start alignment 0-7, also when a range is fed in two
+// pieces split at a random point (the incremental interface the store
+// codec uses for its stream checksum).
+TEST(Crc32c, DispatchedMatchesPortableAtEveryLengthOffsetAndSplit) {
+  rng::Xoshiro256 g{3720};
+  std::string buffer(1024 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(g());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const char* p = buffer.data() + offset;
+      const std::uint32_t expected =
+          Crc32cExtendPortable(kCrc32cInit, p, len);
+      ASSERT_EQ(Crc32cExtend(kCrc32cInit, p, len), expected)
+          << "offset " << offset << " length " << len;
+      const std::size_t split =
+          g.NextBounded(static_cast<std::uint32_t>(len + 1));
+      const std::uint32_t head = Crc32cExtend(kCrc32cInit, p, split);
+      ASSERT_EQ(Crc32cExtend(head, p + split, len - split), expected)
+          << "offset " << offset << " length " << len << " split " << split;
+    }
+  }
 }
 
 }  // namespace
