@@ -314,36 +314,18 @@ Result<activity::ActivityStore, io::StoreError> Session::Load() const {
   activity::ActivityStore combined{manifest_.days};
   for (int d = 0; d < manifest_.days; ++d) combined.SetDayCovered(d, false);
 
+  // Each shard is decoded straight into `combined`: marking a day covered
+  // never clears rows, and OR is order-free, so the union does not depend
+  // on shard order. Only the rows a shard stores are touched.
   for (const ShardEntry& entry : manifest_.shards) {
     auto bytes = ReadShard(dir_, entry);
     if (!bytes.ok()) return bytes.error();
-    auto loaded = io::TryLoadStoreBytes(bytes.value());
-    if (!loaded.ok()) {
-      io::StoreError error = loaded.error();
+    auto merged = io::TryMergeStoreBytes(bytes.value(), combined);
+    if (!merged.ok()) {
+      io::StoreError error = merged.error();
       error.message = entry.file + ": " + error.message;
       return error;
     }
-    const activity::ActivityStore& shard = loaded.value().store;
-    if (shard.days() != manifest_.days) {
-      return io::StoreError{
-          io::StoreErrorKind::kMalformed, 0,
-          entry.file + " has days=" + std::to_string(shard.days()) +
-              ", manifest has days=" + std::to_string(manifest_.days)};
-    }
-    // Coverage union first (marking a day covered never clears rows;
-    // marking it uncovered would), then OR the activity rows.
-    for (int d = 0; d < shard.days(); ++d) {
-      if (shard.DayCovered(d)) combined.SetDayCovered(d, true);
-    }
-    shard.ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
-      activity::ActivityMatrix& target = combined.GetOrCreate(key);
-      for (int d = 0; d < shard.days(); ++d) {
-        if (!shard.DayCovered(d)) continue;
-        const activity::DayBits& row = m.Row(d);
-        activity::DayBits& out = target.Row(d);
-        for (std::size_t w = 0; w < row.size(); ++w) out[w] |= row[w];
-      }
-    });
     registry.GetCounter("ingest.shards_loaded").Add(1);
   }
   registry.GetCounter("ingest.loads").Add(1);

@@ -136,6 +136,25 @@ void RecordSave(std::uint64_t bytes, obs::Span& span) {
       .Set(static_cast<double>(bytes) / 1e6 / seconds);
 }
 
+void RecordLoad(const Result<LoadStats, StoreError>& decoded,
+                std::uint64_t consumed, obs::Span& span) {
+  double seconds = std::max(span.Stop(), 1e-9);
+  auto& registry = obs::GlobalRegistry();
+  if (!decoded.ok()) {
+    registry.GetCounter("io.store.load_errors").Add(1);
+    return;
+  }
+  registry.GetCounter("io.store.loads").Add(1);
+  registry.GetCounter("io.store.load_bytes").Add(consumed);
+  registry.GetGauge("io.store.load_mb_per_s")
+      .Set(static_cast<double>(consumed) / 1e6 / seconds);
+  const LoadStats& stats = decoded.value();
+  if (!stats.complete) {
+    registry.GetCounter("io.store.salvaged_loads").Add(1);
+    registry.GetCounter("io.store.blocks_salvaged").Add(stats.blocks_salvaged);
+  }
+}
+
 // --- Decoding ---------------------------------------------------------------
 
 StoreError Truncated(std::string_view in, const std::string& what) {
@@ -170,14 +189,92 @@ std::uint64_t CompleteRecords(std::string_view in, std::size_t pos,
   return n;
 }
 
+// Where Decode puts what it reads. Decode checks the header, then calls
+// Begin once with the image's dimensions; for every record whose framing
+// and checksum check out it calls Block(key) and ORs the record's bitmaps
+// into the days() rows returned. On a salvage stop the sink keeps what it
+// was given.
+
+// Builds a new store: every block's rows go into one day-major arena the
+// store adopts once (Finish) — also after a salvage stop, which keeps the
+// prefix read so far. A block whose day list fails validation keeps the
+// rows before the bad entry, exactly as the key had already been
+// installed.
+class ArenaSink {
+ public:
+  std::optional<StoreError> Begin(std::uint32_t days,
+                                  const std::vector<bool>& covered,
+                                  std::uint64_t records) {
+    days_ = days;
+    store_.emplace(static_cast<int>(days));
+    for (std::uint32_t d = 0; d < days; ++d) {
+      if (!covered[d]) store_->SetDayCovered(static_cast<int>(d), false);
+    }
+    keys_.reserve(records);
+    arena_.reserve(records * days);
+    return std::nullopt;
+  }
+
+  activity::DayBits* Block(net::BlockKey key) {
+    keys_.push_back(key);
+    arena_.resize(arena_.size() + days_);
+    return arena_.data() + arena_.size() - days_;
+  }
+
+  activity::ActivityStore Finish() {
+    std::vector<std::size_t> offsets(keys_.size());
+    for (std::size_t i = 0; i < offsets.size(); ++i) offsets[i] = i * days_;
+    store_->AdoptArena(std::move(keys_), std::move(arena_), offsets);
+    return *std::move(store_);
+  }
+
+ private:
+  std::uint32_t days_ = 0;
+  std::optional<activity::ActivityStore> store_;
+  std::vector<net::BlockKey> keys_;
+  std::vector<activity::DayBits> arena_;
+};
+
+// ORs an image into an existing store of the same length: the image's
+// covered days become covered and each record's rows are ORed into that
+// key's matrix (GetOrCreate). Only the rows the image stores are touched,
+// so merging a one-day shard costs its bytes, not a dense copy of the
+// whole period.
+class MergeSink {
+ public:
+  explicit MergeSink(activity::ActivityStore& into) : into_(into) {}
+
+  std::optional<StoreError> Begin(std::uint32_t days,
+                                  const std::vector<bool>& covered,
+                                  std::uint64_t /*records*/) {
+    if (days != static_cast<std::uint32_t>(into_.days())) {
+      return Malformed(8, "day count " + std::to_string(days) +
+                              " does not match the target store's " +
+                              std::to_string(into_.days()));
+    }
+    for (std::uint32_t d = 0; d < days; ++d) {
+      if (covered[d]) into_.SetDayCovered(static_cast<int>(d), true);
+    }
+    return std::nullopt;
+  }
+
+  activity::DayBits* Block(net::BlockKey key) {
+    return &into_.GetOrCreate(key).Row(0);
+  }
+
+ private:
+  activity::ActivityStore& into_;
+};
+
 // The one decoder for both magics. IPSCOPE2 adds three checks around the
 // shared header and block loop: the coverage bitmap sealed by a header
 // CRC, a CRC per block record, and the footer. A bad header is never
 // salvageable: without trustworthy dimensions nothing can be decoded.
 // `*consumed` is how far the decode read.
-Result<LoadResult, StoreError> Decode(std::string_view in,
-                                      const LoadOptions& options,
-                                      std::uint64_t* consumed) {
+template <typename Sink>
+Result<LoadStats, StoreError> Decode(std::string_view in,
+                                     const LoadOptions& options, Sink& sink,
+                                     std::uint64_t* consumed) {
   if (in.size() < sizeof(kMagicV1)) return Truncated(in, "magic");
   const bool v1 = std::memcmp(in.data(), kMagicV1, sizeof(kMagicV1)) == 0;
   const bool v2 = std::memcmp(in.data(), kMagicV2, sizeof(kMagicV2)) == 0;
@@ -200,10 +297,10 @@ Result<LoadResult, StoreError> Decode(std::string_view in,
   }
   pos += 8;
 
-  activity::ActivityStore store{static_cast<int>(days)};
   LoadStats stats;
   stats.format_version = v2 ? 2 : 1;
   stats.blocks_expected = blocks;
+  std::vector<bool> covered(days, true);
   std::uint32_t stream_crc = kCrc32cInit;
   if (v2) {
     // The header carries its own CRC so that corrupted dimensions are
@@ -223,34 +320,22 @@ Result<LoadResult, StoreError> Decode(std::string_view in,
     pos += 4;
     stream_crc = Crc32c(in.data(), pos);
     for (std::uint32_t d = 0; d < days; ++d) {
-      bool covered =
-          (static_cast<unsigned char>(coverage[d / 8]) >> (d % 8)) & 1;
-      if (!covered) store.SetDayCovered(static_cast<int>(d), false);
+      covered[d] = (static_cast<unsigned char>(coverage[d / 8]) >> (d % 8)) & 1;
     }
   }
 
-  // Every block's rows go into one day-major arena the store adopts once,
-  // after the loop — also on a salvage stop, which keeps the prefix read
-  // so far. A block whose day list fails validation keeps the rows before
-  // the bad entry, exactly as the key had already been installed.
-  std::vector<net::BlockKey> keys;
-  std::vector<activity::DayBits> arena;
-  const std::uint64_t capacity = CompleteRecords(in, pos, blocks, days, v2);
-  keys.reserve(capacity);
-  arena.reserve(capacity * days);
+  const std::uint64_t records = CompleteRecords(in, pos, blocks, days, v2);
+  if (auto error = sink.Begin(days, covered, records)) return *std::move(error);
   auto finish = [&](std::optional<StoreError> error)
-      -> Result<LoadResult, StoreError> {
+      -> Result<LoadStats, StoreError> {
     *consumed = pos;
     if (error && !options.salvage) return *std::move(error);
-    std::vector<std::size_t> offsets(keys.size());
-    for (std::size_t i = 0; i < offsets.size(); ++i) offsets[i] = i * days;
-    store.AdoptArena(std::move(keys), std::move(arena), offsets);
     if (error) {
       stats.complete = false;
       stats.blocks_salvaged = stats.blocks_loaded;
       stats.error = std::move(error);
     }
-    return LoadResult{std::move(store), std::move(stats)};
+    return std::move(stats);
   };
 
   {
@@ -299,9 +384,7 @@ Result<LoadResult, StoreError> Decode(std::string_view in,
                       " after " + std::to_string(prev_key) + ")"));
       }
       prev_key = key;
-      keys.push_back(key);
-      arena.resize(arena.size() + days);
-      activity::DayBits* rows = arena.data() + arena.size() - days;
+      activity::DayBits* rows = sink.Block(key);
       int prev_day = -1;
       const char* p = rec + kBlockHeaderBytes;
       for (std::uint32_t i = 0; i < nonzero; ++i, p += kDayRecordBytes) {
@@ -311,7 +394,7 @@ Result<LoadResult, StoreError> Decode(std::string_view in,
                                       i * kDayRecordBytes,
                                   "invalid day index " + std::to_string(day)));
         }
-        if (!store.DayCovered(day)) {
+        if (!covered[day]) {
           return finish(Malformed(
               base + kBlockHeaderBytes + i * kDayRecordBytes,
               "activity recorded on uncovered day " + std::to_string(day)));
@@ -319,7 +402,7 @@ Result<LoadResult, StoreError> Decode(std::string_view in,
         prev_day = day;
         activity::DayBits& row = rows[day];
         for (std::size_t w = 0; w < row.size(); ++w) {
-          row[w] = Get<std::uint64_t>(p + 2 + 8 * w);
+          row[w] |= Get<std::uint64_t>(p + 2 + 8 * w);
         }
       }
       pos = base + rec_bytes + (v2 ? 4 : 0);
@@ -417,27 +500,25 @@ Result<LoadResult, StoreError> TryLoadStoreBytes(std::string_view bytes,
                                                  const LoadOptions& options) {
   obs::Span span{"io.store.load_seconds"};
   std::uint64_t consumed = 0;
-  Result<LoadResult, StoreError> result = Decode(bytes, options, &consumed);
-
-  double seconds = std::max(span.Stop(), 1e-9);
-  auto& registry = obs::GlobalRegistry();
-  if (result.ok()) {
-    const LoadStats& stats = result.value().stats;
-    registry.GetCounter("io.store.loads").Add(1);
-    registry.GetCounter("io.store.load_bytes").Add(consumed);
-    registry.GetGauge("io.store.load_mb_per_s")
-        .Set(static_cast<double>(consumed) / 1e6 / seconds);
-    if (!stats.complete) {
-      registry.GetCounter("io.store.salvaged_loads").Add(1);
-      registry.GetCounter("io.store.blocks_salvaged")
-          .Add(stats.blocks_salvaged);
-    }
-    registry.GetGauge("activity.days_missing")
-        .Set(static_cast<double>(result.value().store.MissingDays()));
-  } else {
-    registry.GetCounter("io.store.load_errors").Add(1);
-  }
+  ArenaSink sink;
+  auto decoded = Decode(bytes, options, sink, &consumed);
+  RecordLoad(decoded, consumed, span);
+  if (!decoded.ok()) return decoded.error();
+  LoadResult result{sink.Finish(), std::move(decoded).value()};
+  obs::GlobalRegistry()
+      .GetGauge("activity.days_missing")
+      .Set(static_cast<double>(result.store.MissingDays()));
   return result;
+}
+
+Result<LoadStats, StoreError> TryMergeStoreBytes(
+    std::string_view bytes, activity::ActivityStore& into) {
+  obs::Span span{"io.store.load_seconds"};
+  std::uint64_t consumed = 0;
+  MergeSink sink{into};
+  auto decoded = Decode(bytes, LoadOptions{}, sink, &consumed);
+  RecordLoad(decoded, consumed, span);
+  return decoded;
 }
 
 Result<LoadResult, StoreError> TryLoadStore(std::istream& is,

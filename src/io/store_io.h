@@ -48,6 +48,8 @@
 // decodes each block's rows into a single contiguous DayBits arena the
 // returned store adopts (ActivityStore::AdoptArena) — TryLoadStoreFile
 // reads the file into one buffer first, TryLoadStore drains its stream.
+// TryMergeStoreBytes runs the same decoder but ORs the rows into an
+// existing store instead (how ingest::Session::Load unions its shards).
 // Nothing here runs on the thread pool: ingest::Session::Append encodes
 // shards inside chaos-crash's forked child, where pool threads do not
 // exist.
@@ -107,6 +109,17 @@ std::string StoreBytes(const activity::ActivityStore& store);
 // where `bytes` ends.
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStoreBytes(
     std::string_view bytes, const LoadOptions& options = {});
+
+// Strict decode of a whole store image straight into `into`, which must
+// have the image's day count: the image's covered days become covered in
+// `into` and every stored row is ORed into that block's matrix
+// (GetOrCreate). Only the rows the image holds are touched, so merging a
+// one-day delta of a long period costs its own bytes, never a dense copy
+// of every block. Errors are TryLoadStoreBytes's (plus kMalformed at the
+// day count when it differs from into.days()); on error `into` may hold
+// part of the image and should be discarded.
+[[nodiscard]] Result<LoadStats, StoreError> TryMergeStoreBytes(
+    std::string_view bytes, activity::ActivityStore& into);
 
 // TryLoadStoreBytes over everything `is` yields.
 [[nodiscard]] Result<LoadResult, StoreError> TryLoadStore(

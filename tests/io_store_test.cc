@@ -159,6 +159,50 @@ TEST(StoreIo, CompressionSkipsEmptyDays) {
   EXPECT_LT(v2.str().size(), 250u);
 }
 
+// Two images covering disjoint day ranges merge into their union: the
+// coverage of both, every key of both, and each row ORed in. Merging one
+// image into an empty, all-uncovered store gives what loading it gives.
+TEST(StoreIo, MergeUnionsCoverageAndRows) {
+  activity::ActivityStore early = RandomStore(21, 20, 40);
+  activity::ActivityStore late = RandomStore(22, 20, 40);
+  for (int d = 0; d < 20; ++d) {
+    (d < 12 ? late : early).SetDayCovered(d, false);
+  }
+  activity::ActivityStore expected{20};
+  for (const activity::ActivityStore* part : {&early, &late}) {
+    part->ForEach([&](net::BlockKey key, const activity::ActivityMatrix& m) {
+      activity::ActivityMatrix& out = expected.GetOrCreate(key);
+      for (int d = 0; d < 20; ++d) {
+        for (std::size_t w = 0; w < 4; ++w) out.Row(d)[w] |= m.Row(d)[w];
+      }
+    });
+  }
+
+  activity::ActivityStore merged{20};
+  for (int d = 0; d < 20; ++d) merged.SetDayCovered(d, false);
+  auto first = TryMergeStoreBytes(StoreBytes(early), merged);
+  ASSERT_TRUE(first.ok()) << first.error().ToString();
+  EXPECT_EQ(first.value().blocks_loaded, early.BlockCount());
+  auto loaded = TryLoadStoreBytes(StoreBytes(early));
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(StoresEqual(merged, loaded.value().store));
+  EXPECT_EQ(merged.MissingDayList(), loaded.value().store.MissingDayList());
+
+  auto second = TryMergeStoreBytes(StoreBytes(late), merged);
+  ASSERT_TRUE(second.ok()) << second.error().ToString();
+  EXPECT_TRUE(merged.FullyCovered());
+  EXPECT_TRUE(StoresEqual(merged, expected));
+}
+
+TEST(StoreIo, MergeRejectsAnotherDayCount) {
+  activity::ActivityStore into{30};
+  auto result = TryMergeStoreBytes(StoreBytes(RandomStore(23, 20, 5)), into);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().kind, StoreErrorKind::kMalformed);
+  EXPECT_EQ(result.error().offset, 8u);
+  EXPECT_EQ(into.BlockCount(), 0u);
+}
+
 // RFC 3720 appendix B.4 check values, for the dispatched implementation
 // and the portable table alike.
 TEST(Crc32c, KnownAnswersFromRfc3720) {
