@@ -7,6 +7,7 @@
 #include "activity/churn.h"
 #include "activity/eventsize.h"
 #include "activity/matrix.h"
+#include "activity/pattern.h"
 #include "bgp/table.h"
 #include "cdn/observatory.h"
 #include "io/crc32c.h"
@@ -197,5 +198,35 @@ void BM_ChurnWindow7(benchmark::State& state) {
                           static_cast<std::int64_t>(store.BlockCount()));
 }
 BENCHMARK(BM_ChurnWindow7)->Unit(benchmark::kMillisecond);
+
+// The per-block pattern kernels over every matrix of the shared world's
+// daily store: the bit-sliced host-day count alone, and the one-pass
+// feature sweep that embeds it. Items are blocks.
+void BM_HostActiveDayCounts(benchmark::State& state) {
+  const sim::World& world = SharedWorld();
+  auto store = cdn::Observatory::Daily(world).BuildStore();
+  for (auto _ : state) {
+    store.ForEach([](net::BlockKey, const activity::ActivityMatrix& m) {
+      benchmark::DoNotOptimize(m.HostActiveDayCounts());
+    });
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(store.BlockCount()));
+}
+BENCHMARK(BM_HostActiveDayCounts)->Unit(benchmark::kMillisecond);
+
+void BM_ComputeFeatures(benchmark::State& state) {
+  const sim::World& world = SharedWorld();
+  auto store = cdn::Observatory::Daily(world).BuildStore();
+  const int covered = store.CoveredDaysIn(0, store.days());
+  for (auto _ : state) {
+    store.ForEach([&](net::BlockKey, const activity::ActivityMatrix& m) {
+      benchmark::DoNotOptimize(activity::ComputeFeatures(m, covered));
+    });
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(store.BlockCount()));
+}
+BENCHMARK(BM_ComputeFeatures)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -28,6 +28,40 @@ fi
 
 mkdir -p results
 
+# Hardware-popcount gate: on x86-64 every ipscope library is built with
+# -mpopcnt (CMakeLists.txt), so std::popcount in the activity kernels is
+# one `popcnt` instruction. A call into libgcc's software __popcountdi2
+# means the flag was lost and every FD/STU/churn/pattern reduction pays a
+# function call per word.
+soft_popcount_calls() {
+  objdump -dr "$1" | grep -c '__popcountdi2' || true
+}
+if [ "$(uname -m)" = "x86_64" ]; then
+  echo "== popcount codegen gate"
+  soft_popcount=0
+  for lib in build/src/libipscope_*.a; do
+    [ -e "$lib" ] || { echo "FATAL: no libipscope_*.a in build/src" >&2; exit 1; }
+    calls="$(soft_popcount_calls "$lib")"
+    if [ "$calls" -ne 0 ]; then
+      echo "FATAL: $lib makes $calls calls to __popcountdi2" >&2
+      soft_popcount=1
+    fi
+  done
+  [ "$soft_popcount" = 0 ] || exit 1
+  # Prove the gate has teeth: a popcount compiled without POPCNT must be
+  # seen as a __popcountdi2 call.
+  printf '%s\n' 'int ZzPopcountTeeth(unsigned long long x) {' \
+    '  return __builtin_popcountll(x);' '}' > results/popcount_teeth.cc
+  "${CXX:-c++}" -O2 -mno-popcnt -c results/popcount_teeth.cc \
+    -o results/popcount_teeth.o
+  if [ "$(soft_popcount_calls results/popcount_teeth.o)" -eq 0 ]; then
+    echo "FATAL: popcount gate missed a seeded __popcountdi2 call" >&2
+    exit 1
+  fi
+  rm -f results/popcount_teeth.cc results/popcount_teeth.o
+  echo "popcount gate: no software popcount; seeded call correctly caught"
+fi
+
 # Static-analysis gate: the project-contract linter must (a) prove every
 # rule still fires on the committed corpus (--self-test) and (b) find zero
 # unsuppressed violations in the tree. Either failure exits non-zero and

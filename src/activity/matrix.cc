@@ -4,6 +4,72 @@
 
 namespace ipscope::activity {
 
+namespace {
+
+// Swaps 8-bit blocks so that byte j of x[k] ends up as byte k of x[j]: an
+// 8x8 transpose of bytes, done as three rounds of block swaps.
+void TransposeBytes8x8(std::array<std::uint64_t, 8>& x) {
+  constexpr std::uint64_t kMask[3] = {0x00FF00FF00FF00FFULL,
+                                      0x0000FFFF0000FFFFULL,
+                                      0x00000000FFFFFFFFULL};
+  for (int round = 0; round < 3; ++round) {
+    const int span = 1 << round;       // rows apart
+    const int shift = 8 * span;        // bits apart within a word
+    for (int k = 0; k < 8; ++k) {
+      if ((k & span) != 0) continue;
+      std::uint64_t& lo = x[static_cast<std::size_t>(k)];
+      std::uint64_t& hi = x[static_cast<std::size_t>(k + span)];
+      std::uint64_t t = ((lo >> shift) ^ hi) & kMask[round];
+      hi ^= t;
+      lo ^= t << shift;
+    }
+  }
+}
+
+// Transposes the 8x8 bit matrix whose row r is byte r of x: bit c of byte r
+// moves to bit r of byte c (Hacker's Delight, transpose8).
+std::uint64_t TransposeBits8x8(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
+}  // namespace
+
+HostDayCounter::HostDayCounter(int max_rows)
+    : width_(std::bit_width(static_cast<unsigned>(max_rows))) {
+  assert(max_rows > 0 && max_rows <= 65535);
+}
+
+std::array<std::uint16_t, 256> HostDayCounter::Counts() const {
+  std::array<std::uint16_t, 256> counts{};
+  // Planes [base, base + 8) hold bits [base, base + 8) of every count. For
+  // each 64-host word, gather those eight plane words, transpose bytes so
+  // word j holds byte j (hosts 8j .. 8j+7) of every plane, then transpose
+  // bits so byte i of word j is the 8-bit slice of host 8j+i's count.
+  for (int base = 0; base < width_; base += 8) {
+    for (std::size_t w = 0; w < 4; ++w) {
+      std::array<std::uint64_t, 8> x;
+      for (std::size_t k = 0; k < 8; ++k) {
+        x[k] = planes_[static_cast<std::size_t>(base) + k][w];
+      }
+      TransposeBytes8x8(x);
+      for (std::size_t j = 0; j < 8; ++j) {
+        const std::uint64_t slice = TransposeBits8x8(x[j]);
+        for (std::size_t i = 0; i < 8; ++i) {
+          counts[w * 64 + j * 8 + i] |=
+              static_cast<std::uint16_t>(((slice >> (8 * i)) & 0xFFu) << base);
+        }
+      }
+    }
+  }
+  return counts;
+}
+
 ActivityMatrix::ActivityMatrix(int days) : days_(days) {
   assert(days > 0);
   own_.assign(static_cast<std::size_t>(days), DayBits{});
@@ -77,18 +143,9 @@ int ActivityMatrix::HostActiveDays(int host) const {
 }
 
 std::array<std::uint16_t, 256> ActivityMatrix::HostActiveDayCounts() const {
-  std::array<std::uint16_t, 256> counts{};
-  for (int d = 0; d < days_; ++d) {
-    const DayBits& row = rows_[d];
-    for (int w = 0; w < 4; ++w) {
-      std::uint64_t word = row[static_cast<std::size_t>(w)];
-      while (word != 0) {
-        ++counts[static_cast<std::size_t>(w * 64 + std::countr_zero(word))];
-        word &= word - 1;
-      }
-    }
-  }
-  return counts;
+  HostDayCounter counter{days_};
+  for (int d = 0; d < days_; ++d) counter.Add(rows_[d]);
+  return counter.Counts();
 }
 
 bool ActivityMatrix::Empty() const {

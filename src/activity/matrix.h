@@ -38,6 +38,10 @@ constexpr DayBits AndBits(const DayBits& a, const DayBits& b) {
   return {a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]};
 }
 
+constexpr DayBits XorBits(const DayBits& a, const DayBits& b) {
+  return {a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]};
+}
+
 // Sets host bits [lo, hi) — word-at-a-time, no per-bit loop. No-op when
 // hi <= lo. Bounds must lie in [0, 256].
 constexpr void SetBitRange(DayBits& bits, int lo, int hi) {
@@ -62,6 +66,36 @@ constexpr void SetBit(DayBits& bits, int host) {
   bits[static_cast<std::size_t>(host >> 6)] |=
       std::uint64_t{1} << (static_cast<unsigned>(host) & 63u);
 }
+
+// Per-host active-day counter, bit-sliced: plane k holds bit k of all 256
+// hosts' running counts, so adding a day row is one ripple-carry add over
+// 4-word planes (no per-bit work), and Counts() turns the planes back into
+// 256 integers with 8x8 bit transposes. The ripple always runs through
+// every plane: a branch on a dead carry measured slower than the two
+// operations per plane word it would skip.
+class HostDayCounter {
+ public:
+  // Counts up to `max_rows` rows, 0 < max_rows <= 65535 (the uint16_t
+  // result): bit_width(max_rows) planes hold any count without overflow.
+  explicit HostDayCounter(int max_rows);
+
+  void Add(const DayBits& row) {
+    DayBits carry = row;
+    for (int k = 0; k < width_; ++k) {
+      DayBits& plane = planes_[static_cast<std::size_t>(k)];
+      DayBits next = AndBits(plane, carry);
+      plane = XorBits(plane, carry);
+      carry = next;
+    }
+  }
+
+  // Rows added so far in which each host offset was set.
+  std::array<std::uint16_t, 256> Counts() const;
+
+ private:
+  int width_;
+  std::array<DayBits, 16> planes_{};
+};
 
 class ActivityMatrix {
  public:
@@ -115,9 +149,9 @@ class ActivityMatrix {
   // Number of days on which a given host offset was active.
   int HostActiveDays(int host) const;
 
-  // Active-day counts for all 256 hosts in one sweep over the set bits —
-  // O(days + total set bits) instead of 256 separate column walks. The
-  // per-block input to the paper's host-days dispersion feature (Fig 8).
+  // Active-day counts for all 256 hosts in one sweep over the rows (a
+  // HostDayCounter) instead of 256 separate column walks. The per-block
+  // input to the paper's host-days dispersion feature (Fig 8).
   std::array<std::uint16_t, 256> HostActiveDayCounts() const;
 
   // True iff no bit is set.

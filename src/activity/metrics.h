@@ -18,13 +18,19 @@
 
 namespace ipscope::activity {
 
+// STU from a block's active (address, day) pairs over `covered_days`
+// observed days. Requires covered_days > 0.
+inline double CoveredStu(std::int64_t active_pairs, int covered_days) {
+  return static_cast<double>(active_pairs) / (256.0 * covered_days);
+}
+
 // STU of one block over the covered days of [day_first, day_last):
 // uncovered days hold no activity by construction, so only the denominator
 // differs from m.Stu(day_first, day_last). Requires covered_days > 0.
 inline double CoveredStu(const ActivityMatrix& m, int day_first, int day_last,
                          int covered_days) {
-  return static_cast<double>(m.SpatioTemporalActivity(day_first, day_last)) /
-         (256.0 * covered_days);
+  return CoveredStu(m.SpatioTemporalActivity(day_first, day_last),
+                    covered_days);
 }
 
 struct BlockMetrics {

@@ -25,38 +25,45 @@ const char* PatternName(BlockPattern pattern) {
 }
 
 PatternFeatures ComputeFeatures(const ActivityMatrix& m, int covered_days) {
-  PatternFeatures f;
-  f.filling_degree = m.FillingDegree(0, m.days());
-  // Activity implies a covered day, so covered_days > 0 from here on.
-  if (f.filling_degree == 0) return f;
-  f.stu = CoveredStu(m, 0, m.days(), covered_days);
-
+  // One pass over the rows gathers every reduction the features need: the
+  // union (filling degree), the active pairs (STU, daily fill, mean host
+  // days), each adjacent pair's Jaccard distance and the per-host day
+  // counts. Every double is accumulated in the order of the row index.
+  DayBits ever{};
+  HostDayCounter host_counter{m.days()};
   std::int64_t total_active_days = 0;
   double jaccard_dist_sum = 0.0;
   int jaccard_pairs = 0;
+  int prev_active = 0;
   for (int d = 0; d < m.days(); ++d) {
-    total_active_days += m.ActiveOnDay(d);
-    if (d + 1 < m.days()) {
-      const DayBits& a = m.Row(d);
-      const DayBits& b = m.Row(d + 1);
-      int inter = PopCount(DayBits{a[0] & b[0], a[1] & b[1], a[2] & b[2],
-                                   a[3] & b[3]});
-      int uni = PopCount(OrBits(a, b));
+    const DayBits& row = m.Row(d);
+    const int active = PopCount(row);
+    ever = OrBits(ever, row);
+    total_active_days += active;
+    host_counter.Add(row);
+    if (d > 0) {
+      int inter = PopCount(AndBits(m.Row(d - 1), row));
+      int uni = prev_active + active - inter;
       if (uni > 0) {
         jaccard_dist_sum += 1.0 - static_cast<double>(inter) / uni;
         ++jaccard_pairs;
       }
     }
+    prev_active = active;
   }
+
+  PatternFeatures f;
+  f.filling_degree = PopCount(ever);
+  // Activity implies a covered day, so covered_days > 0 from here on.
+  if (f.filling_degree == 0) return f;
+  f.stu = CoveredStu(total_active_days, covered_days);
   f.daily_fill = static_cast<double>(total_active_days) /
                  (static_cast<double>(covered_days) * f.filling_degree);
   f.turnover = jaccard_pairs > 0 ? jaccard_dist_sum / jaccard_pairs : 0.0;
   f.mean_host_days = static_cast<double>(total_active_days) /
                      static_cast<double>(f.filling_degree);
 
-  // One word-level sweep over the matrix's set bits replaces 256 per-bit
-  // column walks (per-host Get loops are a lint perf.row-loop finding).
-  const std::array<std::uint16_t, 256> host_days = m.HostActiveDayCounts();
+  const std::array<std::uint16_t, 256> host_days = host_counter.Counts();
   double sq_sum = 0.0;
   for (int h = 0; h < 256; ++h) {
     int days = host_days[static_cast<std::size_t>(h)];

@@ -1,6 +1,11 @@
 #include "cdn/observatory.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "obs/timer.h"
 #include "par/pool.h"
@@ -9,7 +14,24 @@ namespace ipscope::cdn {
 
 namespace {
 constexpr std::int32_t kDailyStartDay = 228;  // Aug 17 within 2015
+
+// Hands the whole pages of `arena`'s buffer past its size back to the OS
+// without a second allocation (shrink_to_fit would copy the kept rows into
+// a fresh buffer and briefly hold both). The store never grows the arena,
+// so those pages are not touched again; freeing the buffer unmaps them all.
+void ReleaseUnusedCapacity(std::vector<activity::DayBits>& arena) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  auto first = reinterpret_cast<std::uintptr_t>(arena.data() + arena.size());
+  auto last =
+      reinterpret_cast<std::uintptr_t>(arena.data() + arena.capacity());
+  first = (first + page - 1) & ~(page - 1);
+  last &= ~(page - 1);
+  // A refusal only leaves the pages resident, as they were.
+  if (first < last) {
+    madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
+  }
 }
+}  // namespace
 
 Observatory::Observatory(const sim::World& world, sim::StepSpec spec)
     : world_(world), spec_(spec) {
@@ -77,10 +99,11 @@ activity::ActivityStore Observatory::BuildStore(int threads) const {
       /*grain=*/4, /*max_threads=*/threads);
   generate_span.Stop();
 
-  // Insert = arena handoff: collect the non-empty keys (already in
-  // ascending order) with their arena offsets and adopt the buffer —
-  // O(blocks) pointer work, no row copies. Empty blocks leave their slice
-  // unreferenced; see DESIGN.md §4.13 for the memory accounting.
+  // Insert = arena handoff: slide the non-empty blocks' rows to the front
+  // of the arena (they are already in ascending key order, and each moves
+  // down or stays, so one forward pass is safe), give the empty blocks'
+  // tail back and adopt the buffer — no second arena, no per-row copies
+  // beyond the slide. See DESIGN.md §4.13 for the memory accounting.
   obs::Span insert_span{"cdn.observatory.build.insert_seconds"};
   activity::ActivityStore store{spec_.steps};
   std::uint64_t blocks_emitted = 0;
@@ -91,9 +114,16 @@ activity::ActivityStore Observatory::BuildStore(int threads) const {
   offsets.reserve(blocks_emitted);
   for (std::size_t i = 0; i < order_.size(); ++i) {
     if (!non_empty[i]) continue;
+    const std::size_t to = keys.size() * steps;
+    if (to != i * steps) {
+      std::memmove(arena.data() + to, arena.data() + i * steps,
+                   steps * sizeof(activity::DayBits));
+    }
     keys.push_back(net::BlockKeyOf(world_.blocks()[order_[i]].block));
-    offsets.push_back(i * steps);
+    offsets.push_back(to);
   }
+  arena.resize(keys.size() * steps);
+  ReleaseUnusedCapacity(arena);
   store.AdoptArena(std::move(keys), std::move(arena), offsets);
   insert_span.Stop();
 
